@@ -171,21 +171,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *parallel {
-			s = assign.NewParallel(s, assign.ParallelOptions{Workers: *workers, Seed: *seed, Metrics: reg})
-		}
-		s = assign.Instrument(s, reg)
-		var ladder *resilience.Ladder
-		if *budget > 0 || chaosCfg != nil {
-			rungs := resilience.Chain(s, *seed)
-			if chaosCfg != nil {
-				rungs = resilience.WithChaos(rungs, *chaosCfg)
-			}
-			ladder, err = resilience.NewLadder(resilience.Config{Budget: *budget, Metrics: reg}, rungs...)
-			if err != nil {
-				fatal(err)
-			}
-		}
+		s = resilience.Stack(s, resilience.StackConfig{
+			Parallel: *parallel,
+			Workers:  *workers,
+			Seed:     *seed,
+			Metrics:  reg,
+			Budget:   *budget,
+			Chaos:    chaosCfg,
+		})
+		ladder, _ := s.(*resilience.Ladder)
 		start := time.Now()
 		var a *model.Assignment
 		var out resilience.Outcome

@@ -232,11 +232,6 @@ func (r *Result) DispatchRate() float64 {
 	return float64(r.DispatchedTasks) / float64(total)
 }
 
-// pendingTask is a task waiting for assignment.
-type pendingTask struct {
-	task model.Task
-}
-
 // busyWorker is a worker performing a task.
 type busyWorker struct {
 	worker  model.Worker
@@ -244,21 +239,25 @@ type busyWorker struct {
 	locWhen model.Task // task whose location the worker ends at
 }
 
-// sim is one prepared simulation: the normalized config, the decorated
-// solver stack, and the metric handles. Both round loops (the from-scratch
-// default and the incremental engine) run off the same sim so dispatch,
-// accounting, metrics, and tracing stay a single code path.
+// sim is one prepared simulation: the normalized config, the solver stack
+// (built once per Run), the metric handles, and the round loop's state
+// outside the graph.
 type sim struct {
 	cfg     Config
 	src     Source
 	quality model.QualityModel
 	solver  assign.Solver
 	em      *engineMetrics
+
+	idleFor []int // consecutive unassigned rounds, aligned with the graph's workers
+	busy    []busyWorker
+	removeW []int // per-round scratch for commit
+	removeT []int
 }
 
-// newSim validates cfg and builds the solver stack exactly once:
-// Parallel decomposition, the budget/chaos ladder, and instrumentation.
-func newSim(cfg Config, src Source) (*sim, error) {
+// Run simulates Algorithm 1 for cfg.Rounds batches, over the from-scratch
+// graph or, under cfg.Incremental, the persistent incremental engine.
+func Run(ctx context.Context, cfg Config, src Source) (*Result, error) {
 	if cfg.Solver == nil {
 		return nil, fmt.Errorf("batch: nil solver")
 	}
@@ -274,76 +273,45 @@ func newSim(cfg Config, src Source) (*sim, error) {
 	if cfg.ServiceDuration <= 0 {
 		cfg.ServiceDuration = 1
 	}
-	solver := cfg.Solver
-	if cfg.Parallelism != 0 {
-		workers := cfg.Parallelism
-		if workers < 0 {
-			workers = 0 // NewParallel resolves 0 to GOMAXPROCS
-		}
-		solver = assign.NewParallel(solver, assign.ParallelOptions{
-			Workers: workers,
-			Seed:    cfg.Seed,
-			Metrics: cfg.Metrics,
-		})
+	var chaos *resilience.ChaosConfig
+	if cfg.Chaos != nil {
+		cc := *cfg.Chaos
+		cc.Seed = cfg.Seed
+		chaos = &cc
 	}
-	if cfg.RoundBudget > 0 || cfg.Chaos != nil {
-		// The ladder wraps the (possibly parallel) solver as its primary
-		// rung so the budget bounds the whole decomposed solve, not each
-		// component; fallback rungs are monolithic but cheap.
-		rungs := resilience.Chain(solver, cfg.Seed)
-		if cfg.Chaos != nil {
-			cc := *cfg.Chaos
-			cc.Seed = cfg.Seed
-			if cc.Metrics == nil {
-				cc.Metrics = cfg.Metrics
-			}
-			rungs = resilience.WithChaos(rungs, cc)
-		}
-		ladder, err := resilience.NewLadder(resilience.Config{
-			Budget:  cfg.RoundBudget,
-			Metrics: cfg.Metrics,
-		}, rungs...)
-		if err != nil {
-			return nil, err
-		}
-		solver = ladder
-	}
-	if cfg.Metrics != nil {
-		solver = assign.Instrument(solver, cfg.Metrics)
-	}
-	return &sim{
+	s := &sim{
 		cfg:     cfg,
 		src:     src,
 		quality: src.Quality(),
-		solver:  solver,
-		em:      newEngineMetrics(cfg.Metrics, cfg.Solver.Name()),
-	}, nil
+		solver: resilience.Stack(cfg.Solver, resilience.StackConfig{
+			Parallel: cfg.Parallelism != 0,
+			Workers:  cfg.Parallelism, // negative: GOMAXPROCS
+			Seed:     cfg.Seed,
+			Metrics:  cfg.Metrics,
+			Budget:   cfg.RoundBudget,
+			Chaos:    chaos,
+		}),
+		em: newEngineMetrics(cfg.Metrics, cfg.Solver.Name()),
+	}
+	var g graph = &rebuild{b: cfg.B, index: cfg.Index}
+	if cfg.Incremental {
+		g = engineGraph{incremental.New(incremental.Config{
+			B:       cfg.B,
+			Carry:   true,
+			Seed:    cfg.Seed,
+			Metrics: cfg.Metrics,
+			Predict: cfg.Predict,
+		})}
+	}
+	return s.run(ctx, g)
 }
 
-// Run simulates Algorithm 1 for cfg.Rounds batches.
-func Run(ctx context.Context, cfg Config, src Source) (*Result, error) {
-	s, err := newSim(cfg, src)
-	if err != nil {
-		return nil, err
-	}
-	if s.cfg.Incremental {
-		return s.runIncremental(ctx)
-	}
-	return s.run(ctx)
-}
-
-// run is the from-scratch round loop: every round rebuilds the instance,
-// its candidate lists, and the solution from the live pool.
-func (s *sim) run(ctx context.Context) (*Result, error) {
+// run is the round loop: admit, build the candidate graph, solve, validate,
+// dispatch, UPPER, age and commit, then account, trace and observe.
+func (s *sim) run(ctx context.Context, g graph) (*Result, error) {
 	cfg := s.cfg
-	var (
-		pool    []model.Worker // available workers
-		idleFor []int          // consecutive unassigned batches per pool entry
-		pending []pendingTask  // available tasks
-		busy    []busyWorker
-		res     = &Result{}
-		prevVP  = -1 // previous round's valid-pair count; -1 = unknown
-	)
+	res := &Result{}
+	prevVP := -1 // previous round's valid-pair count; -1 = unknown
 
 	for round := 0; round < cfg.Rounds; round++ {
 		if ctx.Err() != nil {
@@ -361,31 +329,15 @@ func (s *sim) run(ctx context.Context) (*Result, error) {
 		// every time gate already passed, this round provably reproduces
 		// it — empty assignment, zero score, zero upper — so skip the
 		// instance build and solve and run only the aging bookkeeping.
-		// The time-gate scan is needed because a worker Arrive or task
+		// The time-gate check is needed because a worker Arrive or task
 		// Created in the future can validate pairs by time alone.
 		if prevVP == 0 && len(newWorkers) == 0 && len(newTasks) == 0 &&
-			quiescent(pool, pending, busy, now, now-cfg.Interval) {
-			bs := BatchStats{
-				Round:            round,
-				Time:             now,
-				AvailableWorkers: len(pool),
-				AvailableTasks:   len(pending),
-			}
-			var nextPool []model.Worker
-			var nextIdle []int
-			for i, w := range pool {
-				idle := idleFor[i] + 1
-				if cfg.Patience > 0 && idle >= cfg.Patience {
-					res.DepartedWorkers++
-					continue
-				}
-				nextPool = append(nextPool, w)
-				nextIdle = append(nextIdle, idle)
-			}
-			pool = nextPool
-			idleFor = nextIdle
+			!s.anyFree(now) && g.quiescent(now, now-cfg.Interval) {
+			workers, tasks := g.size()
+			bs := BatchStats{Round: round, Time: now, AvailableWorkers: workers, AvailableTasks: tasks}
+			s.retire(g, nil, nil, nil, res)
 			res.Batches = append(res.Batches, bs)
-			s.emitRound(&bs, res, expiredBefore, departedBefore, len(pending), len(pool), len(busy))
+			s.emitRound(&bs, res, g, expiredBefore, departedBefore)
 			if s.em != nil {
 				s.em.noopRounds.Inc()
 			}
@@ -398,61 +350,49 @@ func (s *sim) run(ctx context.Context) (*Result, error) {
 			continue
 		}
 
-		// Release workers whose tasks finished (Algorithm 1: "workers that
-		// have finished the previous assigned tasks").
+		// Drop expired tasks, then admit in pool order: the workers whose
+		// tasks finished (Algorithm 1: "workers that have finished the
+		// previous assigned tasks") in busy order, then the arrivals.
 		buildStart := time.Now()
-		stillBusy := busy[:0]
-		for _, b := range busy {
+		res.ExpiredTasks += g.begin(now)
+		stillBusy := s.busy[:0]
+		for _, b := range s.busy {
 			if b.freeAt <= now {
 				w := b.worker
 				w.Loc = b.locWhen.Loc
 				w.Arrive = b.freeAt
-				pool = append(pool, w)
-				idleFor = append(idleFor, 0)
+				g.addWorker(w)
+				s.idleFor = append(s.idleFor, 0)
 			} else {
 				stillBusy = append(stillBusy, b)
 			}
 		}
-		busy = stillBusy
-
-		// Drop expired tasks, admit arrivals.
-		livePending := pending[:0]
-		for _, p := range pending {
-			if p.task.Deadline > now {
-				livePending = append(livePending, p)
-			} else {
-				res.ExpiredTasks++
-			}
-		}
-		pending = livePending
+		s.busy = stillBusy
 		for _, w := range newWorkers {
-			pool = append(pool, w)
-			idleFor = append(idleFor, 0)
+			g.addWorker(w)
+			s.idleFor = append(s.idleFor, 0)
 		}
 		for _, t := range newTasks {
 			if t.Capacity < cfg.B {
 				return nil, fmt.Errorf("batch: task %d capacity %d below B=%d", t.ID, t.Capacity, cfg.B)
 			}
-			pending = append(pending, pendingTask{task: t})
+			g.addTask(t)
 		}
 
-		// Build the batch instance (Algorithm 1 lines 2-5).
-		ids := make([]int, len(pool))
-		in := &model.Instance{B: cfg.B, Now: now}
-		for i, w := range pool {
+		// Build the batch instance (Algorithm 1 lines 2-5). The quality
+		// model is a fixed function of worker external IDs, which is what
+		// licenses the engine's carry and warm reuse.
+		in := g.plan()
+		ids := make([]int, len(in.Workers))
+		for i, w := range in.Workers {
 			ids[i] = w.ID
-			in.Workers = append(in.Workers, w)
-		}
-		for _, p := range pending {
-			in.Tasks = append(in.Tasks, p.task)
 		}
 		in.Quality = coop.NewSubset(asCoopModel(s.quality), ids)
-		in.BuildCandidates(cfg.Index)
 		build := time.Since(buildStart)
 
 		// Solve the batch (line 6).
 		start := time.Now()
-		a, err := s.solver.Solve(ctx, in)
+		a, err := g.solve(ctx, s.solver, in)
 		elapsed := time.Since(start)
 		if err != nil {
 			return res, fmt.Errorf("batch: round %d: %w", round, err)
@@ -465,48 +405,23 @@ func (s *sim) run(ctx context.Context) (*Result, error) {
 		bs := BatchStats{
 			Round:            round,
 			Time:             now,
-			AvailableWorkers: len(pool),
-			AvailableTasks:   len(pending),
+			AvailableWorkers: len(in.Workers),
+			AvailableTasks:   len(in.Tasks),
 			ValidPairs:       in.NumValidPairs(),
 			Build:            build,
 			Elapsed:          elapsed,
 		}
-		dispatchedWorker, dispatchedTask := s.dispatch(in, a, now, &bs, &busy, res)
+		dispatchedWorker, dispatchedTask := s.dispatch(in, a, now, &bs, res)
 		batchUpper := assign.Upper(in)
 		res.UpperTotal += batchUpper
-
-		// Rebuild the pool and pending lists; undispatched workers lose
-		// patience and may depart.
-		var nextPool []model.Worker
-		var nextIdle []int
-		for i, w := range pool {
-			if dispatchedWorker[i] {
-				continue
-			}
-			idle := idleFor[i] + 1
-			if cfg.Patience > 0 && idle >= cfg.Patience {
-				res.DepartedWorkers++
-				continue
-			}
-			nextPool = append(nextPool, w)
-			nextIdle = append(nextIdle, idle)
-		}
-		pool = nextPool
-		idleFor = nextIdle
-		var nextPending []pendingTask
-		for i, p := range pending {
-			if !dispatchedTask[i] {
-				nextPending = append(nextPending, p)
-			}
-		}
-		pending = nextPending
+		s.retire(g, a, dispatchedWorker, dispatchedTask, res)
 
 		res.Batches = append(res.Batches, bs)
 		res.TotalScore += bs.Score
 		res.DispatchedTasks += bs.DispatchedTasks
 		prevVP = bs.ValidPairs
 
-		s.emitRound(&bs, res, expiredBefore, departedBefore, len(pending), len(pool), len(busy))
+		s.emitRound(&bs, res, g, expiredBefore, departedBefore)
 		if err := s.traceRound(round, now, &bs, batchUpper, float64(elapsed.Microseconds())/1000, in, a); err != nil {
 			return res, err
 		}
@@ -515,6 +430,46 @@ func (s *sim) run(ctx context.Context) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// anyFree reports whether a busy worker's task finishes by now.
+func (s *sim) anyFree(now float64) bool {
+	for _, b := range s.busy {
+		if b.freeAt <= now {
+			return true
+		}
+	}
+	return false
+}
+
+// retire ends the round on g: dispatched workers and tasks leave, and every
+// other worker ages one round and departs once out of patience. Removal
+// positions ascend, matching both graphs' order-preserving compaction, which
+// keeps idleFor aligned with the graph's workers. The marks are nil on a
+// short-circuited round.
+func (s *sim) retire(g graph, a *model.Assignment, dispatchedWorker, dispatchedTask []bool, res *Result) {
+	s.removeW, s.removeT = s.removeW[:0], s.removeT[:0]
+	kept := s.idleFor[:0]
+	for i, idle := range s.idleFor {
+		if dispatchedWorker != nil && dispatchedWorker[i] {
+			s.removeW = append(s.removeW, i)
+			continue
+		}
+		idle++
+		if s.cfg.Patience > 0 && idle >= s.cfg.Patience {
+			res.DepartedWorkers++
+			s.removeW = append(s.removeW, i)
+			continue
+		}
+		kept = append(kept, idle)
+	}
+	s.idleFor = kept
+	for j, d := range dispatchedTask {
+		if d {
+			s.removeT = append(s.removeT, j)
+		}
+	}
+	g.commit(a, s.removeW, s.removeT)
 }
 
 // observe invokes the configured round observer, if any.
@@ -528,34 +483,11 @@ func (s *sim) observe(ctx context.Context, round int, now float64, in *model.Ins
 	return nil
 }
 
-// quiescent reports whether the round can be short-circuited given zero
-// churn: no busy worker frees, no pending task expires, and every time
-// gate (worker arrival, task creation) had already passed at prevNow, the
-// timestamp the previous zero-valid-pair verdict was computed at.
-func quiescent(pool []model.Worker, pending []pendingTask, busy []busyWorker, now, prevNow float64) bool {
-	for _, b := range busy {
-		if b.freeAt <= now {
-			return false
-		}
-	}
-	for _, p := range pending {
-		if p.task.Deadline <= now || p.task.Created > prevNow {
-			return false
-		}
-	}
-	for _, w := range pool {
-		if w.Arrive > prevNow {
-			return false
-		}
-	}
-	return true
-}
-
 // dispatch applies the dispatch semantics of Algorithm 1 lines 7-8 to a
 // solved round: every group reaching B performs its task, its workers go
 // busy until all have arrived and the service completed. It fills bs and
 // res and returns the dispatched worker/task position marks.
-func (s *sim) dispatch(in *model.Instance, a *model.Assignment, now float64, bs *BatchStats, busy *[]busyWorker, res *Result) (dispatchedWorker, dispatchedTask []bool) {
+func (s *sim) dispatch(in *model.Instance, a *model.Assignment, now float64, bs *BatchStats, res *Result) (dispatchedWorker, dispatchedTask []bool) {
 	cfg := s.cfg
 	dispatchedWorker = make([]bool, len(in.Workers))
 	dispatchedTask = make([]bool, len(in.Tasks))
@@ -575,7 +507,7 @@ func (s *sim) dispatch(in *model.Instance, a *model.Assignment, now float64, bs 
 		freeAt := arrival + cfg.ServiceDuration
 		for _, wi := range ws {
 			dispatchedWorker[wi] = true
-			*busy = append(*busy, busyWorker{worker: in.Workers[wi], freeAt: freeAt, locWhen: task})
+			s.busy = append(s.busy, busyWorker{worker: in.Workers[wi], freeAt: freeAt, locWhen: task})
 		}
 		dispatchedTask[ti] = true
 		bs.DispatchedTasks++
@@ -587,19 +519,20 @@ func (s *sim) dispatch(in *model.Instance, a *model.Assignment, now float64, bs 
 }
 
 // emitRound flushes the per-round metric series.
-func (s *sim) emitRound(bs *BatchStats, res *Result, expiredBefore, departedBefore, pending, avail, busy int) {
+func (s *sim) emitRound(bs *BatchStats, res *Result, g graph, expiredBefore, departedBefore int) {
 	if s.em == nil {
 		return
 	}
+	workers, tasks := g.size()
 	s.em.rounds.Inc()
 	s.em.dispTasks.Add(uint64(bs.DispatchedTasks))
 	s.em.dispPairs.Add(uint64(bs.AssignedWorkers))
 	s.em.expired.Add(uint64(res.ExpiredTasks - expiredBefore))
 	s.em.departed.Add(uint64(res.DepartedWorkers - departedBefore))
 	s.em.roundScore.Observe(bs.Score)
-	s.em.pending.Set(float64(pending))
-	s.em.avail.Set(float64(avail))
-	s.em.busy.Set(float64(busy))
+	s.em.pending.Set(float64(tasks))
+	s.em.avail.Set(float64(workers))
+	s.em.busy.Set(float64(len(s.busy)))
 }
 
 // traceRound appends one trace record; in and a may be nil for rounds that
@@ -637,142 +570,6 @@ func (s *sim) traceRound(round int, now float64, bs *BatchStats, upper, elapsedM
 		}
 	}
 	return s.cfg.Trace.Append(rec)
-}
-
-// runIncremental is the persistent-engine round loop: the incremental
-// engine maintains the candidate graph and component partition across
-// rounds, re-solves only the components touched since the previous round,
-// and carries every clean component's assignment forward verbatim. Entity
-// ordering, dispatch, and accounting replicate run exactly, so for
-// deterministic solvers the two paths are bitwise interchangeable.
-func (s *sim) runIncremental(ctx context.Context) (*Result, error) {
-	cfg := s.cfg
-	eng := incremental.New(incremental.Config{
-		B:       cfg.B,
-		Carry:   true,
-		Seed:    cfg.Seed,
-		Metrics: cfg.Metrics,
-		Predict: cfg.Predict,
-	})
-	var (
-		idleFor []int // aligned with the engine's worker order
-		busy    []busyWorker
-		res     = &Result{}
-	)
-
-	for round := 0; round < cfg.Rounds; round++ {
-		if ctx.Err() != nil {
-			return res, ctx.Err()
-		}
-		now := float64(round) * cfg.Interval
-		expiredBefore, departedBefore := res.ExpiredTasks, res.DepartedWorkers
-
-		// Sources are consulted outside the timed build window, as in run.
-		newWorkers := s.src.WorkersAt(round)
-		newTasks := s.src.TasksAt(round)
-
-		// Expire tasks and re-check every candidate edge, then admit the
-		// freed workers and the arrivals in the same order run grows its
-		// pool: survivors (order preserved), frees in busy order, arrivals.
-		buildStart := time.Now()
-		res.ExpiredTasks += len(eng.BeginRound(now))
-		stillBusy := busy[:0]
-		for _, b := range busy {
-			if b.freeAt <= now {
-				w := b.worker
-				w.Loc = b.locWhen.Loc
-				w.Arrive = b.freeAt
-				eng.AddWorker(w)
-				idleFor = append(idleFor, 0)
-			} else {
-				stillBusy = append(stillBusy, b)
-			}
-		}
-		busy = stillBusy
-		for _, w := range newWorkers {
-			eng.AddWorker(w)
-			idleFor = append(idleFor, 0)
-		}
-		for _, t := range newTasks {
-			if t.Capacity < cfg.B {
-				return nil, fmt.Errorf("batch: task %d capacity %d below B=%d", t.ID, t.Capacity, cfg.B)
-			}
-			eng.AddTask(t)
-		}
-
-		// Plan the round and attach the quality model (a fixed function of
-		// worker external IDs, which is what licenses carry and warm reuse).
-		r := eng.Plan()
-		in := r.In
-		ids := make([]int, len(in.Workers))
-		for i, w := range in.Workers {
-			ids[i] = w.ID
-		}
-		in.Quality = coop.NewSubset(asCoopModel(s.quality), ids)
-		build := time.Since(buildStart)
-
-		start := time.Now()
-		a, err := eng.Solve(ctx, s.solver)
-		elapsed := time.Since(start)
-		if err != nil {
-			return res, fmt.Errorf("batch: round %d: %w", round, err)
-		}
-		if err := a.Validate(in); err != nil {
-			return res, fmt.Errorf("batch: round %d solver produced invalid assignment: %w", round, err)
-		}
-
-		bs := BatchStats{
-			Round:            round,
-			Time:             now,
-			AvailableWorkers: len(in.Workers),
-			AvailableTasks:   len(in.Tasks),
-			ValidPairs:       in.NumValidPairs(),
-			Build:            build,
-			Elapsed:          elapsed,
-		}
-		dispatchedWorker, dispatchedTask := s.dispatch(in, a, now, &bs, &busy, res)
-		batchUpper := assign.Upper(in)
-		res.UpperTotal += batchUpper
-
-		// Dispatched workers leave the pool; the rest age and may depart.
-		// The removal order (ascending positions) matches the engine's
-		// order-preserving compaction, keeping idleFor aligned.
-		var removeW, removeT []int
-		var nextIdle []int
-		for i := range in.Workers {
-			if dispatchedWorker[i] {
-				removeW = append(removeW, i)
-				continue
-			}
-			idle := idleFor[i] + 1
-			if cfg.Patience > 0 && idle >= cfg.Patience {
-				res.DepartedWorkers++
-				removeW = append(removeW, i)
-				continue
-			}
-			nextIdle = append(nextIdle, idle)
-		}
-		idleFor = nextIdle
-		for i := range in.Tasks {
-			if dispatchedTask[i] {
-				removeT = append(removeT, i)
-			}
-		}
-		eng.Commit(a, removeW, removeT)
-
-		res.Batches = append(res.Batches, bs)
-		res.TotalScore += bs.Score
-		res.DispatchedTasks += bs.DispatchedTasks
-
-		s.emitRound(&bs, res, expiredBefore, departedBefore, eng.NumTasks(), eng.NumWorkers(), len(busy))
-		if err := s.traceRound(round, now, &bs, batchUpper, float64(elapsed.Microseconds())/1000, in, a); err != nil {
-			return res, err
-		}
-		if err := s.observe(ctx, round, now, in, a); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
 }
 
 func maxf(a, b float64) float64 {

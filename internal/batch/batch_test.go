@@ -532,3 +532,23 @@ func TestBudgetedRoundsMatchUnbudgetedWhenFast(t *testing.T) {
 			budgeted.TotalScore, plain.TotalScore, budgeted.DispatchedTasks, plain.DispatchedTasks)
 	}
 }
+
+// TestSolverCountersSurviveRoundBudget guards the solver-stack order: the
+// registry must reach GT's own counters with a round budget set too, which
+// needs Instrument inside the ladder rather than around it.
+func TestSolverCountersSurviveRoundBudget(t *testing.T) {
+	for _, budget := range []time.Duration{0, time.Hour} {
+		reg := metrics.NewRegistry()
+		_, err := Run(context.Background(), Config{
+			Solver: assign.NewGT(assign.GTOptions{}), Rounds: 4, B: 3,
+			Metrics: reg, RoundBudget: budget,
+		}, churnSource(4, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := reg.Snapshot().Counter(assign.MetricGTRounds, metrics.L("solver", "GT"))
+		if !ok || v == 0 {
+			t.Errorf("budget %v: %s = %d (present %v), want > 0", budget, assign.MetricGTRounds, v, ok)
+		}
+	}
+}

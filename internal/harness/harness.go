@@ -122,33 +122,17 @@ type Options struct {
 	Benchmem bool
 }
 
-// parallelize wraps s in the decomposing decorator when Parallel is set;
-// otherwise it returns s untouched.
-func (o Options) parallelize(s assign.Solver) assign.Solver {
-	if !o.Parallel {
-		return s
-	}
-	return assign.NewParallel(s, assign.ParallelOptions{
-		Workers: o.Workers,
-		Seed:    o.Seed,
-		Metrics: o.Metrics,
-	})
-}
-
-// decorate applies the experiment's solver decorators in wiring order:
-// decomposition under Parallel, then the anytime ladder under Budget.
+// decorate builds the experiment's solver stack (resilience.Stack):
+// decomposition under Parallel, instrumentation under Metrics, and the
+// anytime ladder under Budget.
 func (o Options) decorate(s assign.Solver) assign.Solver {
-	s = o.parallelize(s)
-	if o.Budget <= 0 {
-		return s
-	}
-	l, err := resilience.NewLadder(
-		resilience.Config{Budget: o.Budget, Metrics: o.Metrics},
-		resilience.Chain(s, o.Seed)...)
-	if err != nil {
-		panic(err) // unreachable: Chain always yields ≥ 1 rung
-	}
-	return l
+	return resilience.Stack(s, resilience.StackConfig{
+		Parallel: o.Parallel,
+		Workers:  o.Workers,
+		Seed:     o.Seed,
+		Metrics:  o.Metrics,
+		Budget:   o.Budget,
+	})
 }
 
 func (o Options) withDefaults() Options {
@@ -303,7 +287,7 @@ func sweepPoint(ctx context.Context, label string, opt Options, mk instanceMaker
 					h.SetArena(ar)
 				}
 			}
-			solver = assign.Instrument(opt.decorate(solver), opt.Metrics)
+			solver = opt.decorate(solver)
 			var m0 runtime.MemStats
 			if opt.Benchmem {
 				runtime.ReadMemStats(&m0)
@@ -512,7 +496,7 @@ func runOptGap(ctx context.Context, opt Options) (*Series, error) {
 				if err != nil {
 					return series, err
 				}
-				s = assign.Instrument(opt.decorate(s), opt.Metrics)
+				s = opt.decorate(s)
 				st := time.Now()
 				a, err := s.Solve(ctx, in)
 				if err != nil {
@@ -722,7 +706,7 @@ func runEpsilon(ctx context.Context, opt Options) (*Series, error) {
 				return series, err
 			}
 			pt.Upper += assign.Upper(in)
-			solver := assign.Instrument(opt.decorate(assign.NewGT(assign.GTOptions{Epsilon: eps})), opt.Metrics)
+			solver := opt.decorate(assign.NewGT(assign.GTOptions{Epsilon: eps}))
 			start := time.Now()
 			a, err := solver.Solve(ctx, in)
 			elapsed := time.Since(start).Seconds()

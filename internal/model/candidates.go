@@ -53,9 +53,9 @@ func (in *Instance) BuildCandidates(kind IndexKind) {
 		for j, t := range in.Tasks {
 			items[j] = rtree.Item{Rect: geo.PointRect(t.Loc), ID: j}
 		}
-		// The packed R*-tree returns the same ID set as the boxed tree
-		// (both exact range queries); the sort below makes the candidate
-		// lists — and so every downstream solver decision — identical.
+		// The packed R*-tree answers exact range queries in its own order;
+		// the sort below makes the candidate lists — and so every
+		// downstream solver decision — independent of it.
 		tr := rtree.BulkRStar(items, 0)
 		query = tr.SearchCircle
 	case IndexGrid:

@@ -371,6 +371,66 @@ func (l *Ladder) observeRung(rung string, d time.Duration) {
 		metrics.L("solver", l.lm.solver), metrics.L("rung", rung)).Observe(d.Seconds())
 }
 
+// StackConfig selects the decorators Stack puts around a primary solver.
+// The zero value returns the primary unchanged.
+type StackConfig struct {
+	// Parallel decomposes every instance into components solved on a
+	// bounded pool (assign.NewParallel) of Workers goroutines (≤ 0:
+	// GOMAXPROCS).
+	Parallel bool
+	Workers  int
+	// Seed is the base of Parallel's per-component seeds and the seed of
+	// the ladder's RAND rung.
+	Seed int64
+	// Metrics, when non-nil, instruments the primary (assign.Instrument)
+	// and receives the casc_parallel_* and casc_ladder_* series.
+	Metrics *metrics.Registry
+	// Budget, when positive, runs every Solve under a Ladder over
+	// Chain(primary, Seed).
+	Budget time.Duration
+	// Chaos, when non-nil, wraps every ladder rung in fault injection
+	// (WithChaos: per-rung seeds derive from Chaos.Seed) and turns the
+	// ladder on even with a zero Budget. A nil Chaos.Metrics defaults to
+	// Metrics.
+	Chaos *ChaosConfig
+}
+
+// Stack builds the solver stack every round loop solves with, in one
+// fixed order: primary → Parallel → Instrument → Ladder(+Chaos). The
+// budget therefore bounds the whole decomposed solve; Instrument sits
+// inside the ladder, where its type switch still reaches a bare GT, TPG or
+// Parallel to hand over the registry, so casc_solver_* times the primary
+// rung and casc_ladder_* the whole ladder. The ladder stays outermost: when
+// Budget or Chaos is set the result is a *Ladder, and callers that must act
+// on exhaustion type-assert it to reach SolveBudgeted.
+func Stack(primary assign.Solver, cfg StackConfig) assign.Solver {
+	s := primary
+	if cfg.Parallel {
+		s = assign.NewParallel(s, assign.ParallelOptions{
+			Workers: cfg.Workers,
+			Seed:    cfg.Seed,
+			Metrics: cfg.Metrics,
+		})
+	}
+	s = assign.Instrument(s, cfg.Metrics)
+	if cfg.Budget <= 0 && cfg.Chaos == nil {
+		return s
+	}
+	rungs := Chain(s, cfg.Seed)
+	if cfg.Chaos != nil {
+		cc := *cfg.Chaos
+		if cc.Metrics == nil {
+			cc.Metrics = cfg.Metrics
+		}
+		rungs = WithChaos(rungs, cc)
+	}
+	l, err := NewLadder(Config{Budget: cfg.Budget, Metrics: cfg.Metrics}, rungs...)
+	if err != nil {
+		panic(err) // unreachable: Chain always yields the primary rung
+	}
+	return l
+}
+
 // Chain builds the default anytime rung chain for a primary solver:
 // primary → TPG → RAND(seed), skipping fallbacks that duplicate the
 // primary's name. TPG is the fast deterministic middle rung; RAND is the

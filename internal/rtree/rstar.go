@@ -1,3 +1,12 @@
+// Package rtree implements RStar, an in-memory R*-tree (Beckmann et al.
+// 1990) over a packed flat-slice node arena — the spatial index of
+// model.BuildCandidates. It answers the queries the CA-SC framework needs:
+// rectangle range search and circular range search (worker working areas).
+//
+// The batch-based framework of the paper (§III, Algorithm 1 lines 4-5)
+// retrieves the valid tasks of each worker with "a range query with a range
+// of r_i and a center at the current location l_i" over a spatial index
+// "(e.g., R-Tree [24])". This package is that index.
 package rtree
 
 import (
@@ -6,6 +15,20 @@ import (
 	"sort"
 
 	"casc/internal/geo"
+)
+
+// Item is an entry stored in the tree: a bounding rectangle plus an opaque
+// integer ID chosen by the caller (e.g. a task index).
+type Item struct {
+	Rect geo.Rect
+	ID   int
+}
+
+const (
+	// DefaultMaxEntries is the default node fan-out M.
+	DefaultMaxEntries = 16
+	// minFillRatio determines m = M * minFillRatio (Guttman recommends 40%).
+	minFillRatio = 0.4
 )
 
 // RStar is an R*-tree (Beckmann, Kriegel, Schneider, Seeger 1990) over a

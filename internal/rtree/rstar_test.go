@@ -49,6 +49,92 @@ func requireSameIDs(t *testing.T, got, want []int, label string) {
 	}
 }
 
+func randPoints(r *rand.Rand, n int) []Item {
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{Rect: geo.PointRect(geo.Pt(r.Float64(), r.Float64())), ID: i}
+	}
+	return items
+}
+
+func TestEmptyTree(t *testing.T) {
+	tr := NewRStar(0)
+	if tr.Len() != 0 || tr.Height() != 1 {
+		t.Fatalf("empty tree Len=%d Height=%d", tr.Len(), tr.Height())
+	}
+	if got := tr.Search(geo.RectOf(geo.Pt(0, 0), geo.Pt(1, 1)), nil); len(got) != 0 {
+		t.Errorf("search on empty tree returned %v", got)
+	}
+}
+
+func TestNewPanicsOnTinyFanout(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewRStar(2) should panic")
+		}
+	}()
+	NewRStar(2)
+}
+
+// TestInsertSearchAgainstBruteForce queries an inserted tree with
+// arbitrary rectangles, up to the whole unit square.
+func TestInsertSearchAgainstBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	items := randPoints(r, 500)
+	tr := NewRStar(8)
+	for _, it := range items {
+		tr.Insert(it)
+	}
+	if err := tr.checkInvariants(); err != nil {
+		t.Fatalf("invariants after inserts: %v", err)
+	}
+	for trial := 0; trial < 200; trial++ {
+		q := geo.RectOf(geo.Pt(r.Float64(), r.Float64()), geo.Pt(r.Float64(), r.Float64()))
+		requireSameIDs(t, tr.Search(q, nil), linearSearch(items, q), "Search")
+	}
+}
+
+func TestSearchCircleAgainstBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	items := randPoints(r, 400)
+	tr := BulkRStar(items, 8)
+	for trial := 0; trial < 200; trial++ {
+		c := geo.Pt(r.Float64(), r.Float64())
+		rad := r.Float64() * 0.3
+		requireSameIDs(t, tr.SearchCircle(c, rad, nil), linearCircle(items, c, rad), "SearchCircle")
+	}
+}
+
+// TestBulkMatchesInsert: STR packing and one-by-one R* insertion index the
+// same items, so every query agrees.
+func TestBulkMatchesInsert(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	items := randPoints(r, 300)
+	bulk := BulkRStar(items, 8)
+	inc := NewRStar(8)
+	for _, it := range items {
+		inc.Insert(it)
+	}
+	for trial := 0; trial < 100; trial++ {
+		q := geo.RectAround(geo.Pt(r.Float64(), r.Float64()), r.Float64()*0.2)
+		want := append([]int(nil), inc.Search(q, nil)...)
+		sort.Ints(want)
+		requireSameIDs(t, bulk.Search(q, nil), want, "bulk vs incremental")
+	}
+}
+
+// TestBulkEmptyAndTiny: a leaf slot stores the caller's ID, not the item's
+// position.
+func TestBulkEmptyAndTiny(t *testing.T) {
+	if tr := BulkRStar(nil, 0); tr.Len() != 0 {
+		t.Error("BulkRStar(nil) not empty")
+	}
+	tr := BulkRStar([]Item{{Rect: geo.PointRect(geo.Pt(0.5, 0.5)), ID: 7}}, 0)
+	if got := tr.SearchCircle(geo.Pt(0.5, 0.5), 0.01, nil); len(got) != 1 || got[0] != 7 {
+		t.Errorf("got %v", got)
+	}
+}
+
 // TestRStarInsertVsLinear cross-checks incremental R* insertion (which
 // exercises ChooseSubtree, forced reinsert, and the topological split)
 // against a linear scan, with invariants checked as the tree grows.
@@ -84,10 +170,11 @@ func TestRStarInsertVsLinear(t *testing.T) {
 }
 
 // TestRStarBulkVsLinear checks STR packing into the packed arena across
-// sizes that cover the single-leaf root, one-level, and multi-level cases.
+// sizes that cover the single-leaf root, one-level, and multi-level cases,
+// against the linear-scan oracle.
 func TestRStarBulkVsLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 5, 16, 17, 100, 1000} {
+	for _, n := range []int{0, 1, 5, 16, 17, 100, 500, 1000} {
 		items := make([]Item, n)
 		for i := range items {
 			items[i] = Item{Rect: geo.PointRect(geo.Pt(r.Float64(), r.Float64())), ID: i}
@@ -107,25 +194,22 @@ func TestRStarBulkVsLinear(t *testing.T) {
 	}
 }
 
-// TestRStarBulkMatchesTreeBulk pins that the packed R*-tree and the
-// pointer-based tree return identical ID sets for identical queries — the
-// property BuildCandidates relies on when swapping the index (candidate
-// lists are sorted afterwards, so set equality is output preservation).
-func TestRStarBulkMatchesTreeBulk(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	items := make([]Item, 500)
+func TestDuplicatePoints(t *testing.T) {
+	// Many items at the same location must all be stored and retrieved,
+	// whether inserted one by one or bulk-loaded.
+	p := geo.Pt(0.5, 0.5)
+	items := make([]Item, 50)
+	tr := NewRStar(4)
 	for i := range items {
-		items[i] = Item{Rect: geo.PointRect(geo.Pt(r.Float64(), r.Float64())), ID: i}
+		items[i] = Item{Rect: geo.PointRect(p), ID: i}
+		tr.Insert(items[i])
 	}
-	packed := BulkRStar(items, 0)
-	boxed := Bulk(items, 0)
-	for q := 0; q < 200; q++ {
-		c := geo.Pt(r.Float64(), r.Float64())
-		rad := r.Float64() * 0.2
-		got := append([]int(nil), packed.SearchCircle(c, rad, nil)...)
-		want := append([]int(nil), boxed.SearchCircle(c, rad, nil)...)
-		sort.Ints(want)
-		requireSameIDs(t, got, want, "packed vs boxed")
+	if got := tr.SearchCircle(p, 0.001, nil); len(got) != 50 {
+		t.Fatalf("inserted: got %d ids, want 50", len(got))
+	}
+	bulk := BulkRStar(items[:49], 4)
+	if got := bulk.SearchCircle(p, 0.001, nil); len(got) != 49 {
+		t.Fatalf("bulk-loaded: got %d ids, want 49", len(got))
 	}
 }
 
@@ -147,9 +231,9 @@ func TestRStarDuplicatePoints(t *testing.T) {
 }
 
 // FuzzRStarOps drives the packed R*-tree through arbitrary insert/query
-// sequences, cross-checking against a linear model and the invariants —
-// the RStar counterpart of FuzzTreeOps (minus deletes, which RStar does
-// not support).
+// sequences, cross-checking against a linear model and the invariants.
+// Run with `go test -fuzz=FuzzRStarOps ./internal/rtree` to explore; the
+// seed corpus runs in normal test mode.
 func FuzzRStarOps(f *testing.F) {
 	f.Add([]byte{0, 10, 20, 0, 30, 40, 1, 15, 25})
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 0, 5, 6, 0, 0, 0, 1, 0, 0})

@@ -6,6 +6,7 @@ import (
 
 	"casc/internal/assign"
 	"casc/internal/model"
+	"casc/internal/resilience"
 	"casc/internal/trace"
 )
 
@@ -130,9 +131,11 @@ func (c *counterfactual) observe(ctx context.Context, round int, now float64, in
 		if err != nil {
 			return fmt.Errorf("scenario: alternate %q: %w", name, err)
 		}
-		if c.parallel {
-			solver = assign.NewParallel(solver, assign.ParallelOptions{Workers: c.workers, Seed: altSeed})
-		}
+		solver = resilience.Stack(solver, resilience.StackConfig{
+			Parallel: c.parallel,
+			Workers:  c.workers,
+			Seed:     altSeed,
+		})
 		alt, err := solver.Solve(ctx, in)
 		if err != nil {
 			return fmt.Errorf("scenario: round %d alternate %q: %w", round, name, err)

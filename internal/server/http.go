@@ -94,13 +94,26 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// MaxRequestBytes caps every JSON request body the platform and the
+// cluster decode. The largest request DTO is under 200 bytes.
+const MaxRequestBytes = 64 << 10
+
+// decode reads the JSON request body into v, capped at MaxRequestBytes. On
+// failure it writes the error reply — 413 past the cap, 400 otherwise — and
+// returns false.
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, fmt.Errorf("bad request body: %w", err))
+		return false
 	}
-	return nil
+	return true
 }
 
 // WorkerRequest is the POST /workers body.
@@ -113,8 +126,7 @@ type WorkerRequest struct {
 
 func (p *Platform) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	var req WorkerRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	id, err := p.RegisterWorker(geo.Pt(req.X, req.Y), req.Speed, req.Radius)
@@ -135,8 +147,7 @@ type TaskRequest struct {
 
 func (p *Platform) handlePostTask(w http.ResponseWriter, r *http.Request) {
 	var req TaskRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	id, err := p.PostTask(geo.Pt(req.X, req.Y), req.Capacity, req.Deadline)
@@ -169,8 +180,7 @@ type PairJSON struct {
 
 func (p *Platform) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.Solver == "" {
@@ -221,8 +231,7 @@ type RatingRequest struct {
 
 func (p *Platform) handleRate(w http.ResponseWriter, r *http.Request) {
 	var req RatingRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	if err := p.RateTask(req.TaskID, req.Score); err != nil {

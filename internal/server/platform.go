@@ -254,26 +254,13 @@ func (p *Platform) RunBatch(ctx context.Context, solverName string) (*BatchResul
 	if err != nil {
 		return nil, err
 	}
-	if p.parallelism != 0 {
-		workers := p.parallelism
-		if workers < 0 {
-			workers = 0 // NewParallel resolves 0 to GOMAXPROCS
-		}
-		solver = assign.NewParallel(solver, assign.ParallelOptions{
-			Workers: workers,
-			Seed:    seed,
-		})
-	}
-	solver = assign.Instrument(solver, p.metrics)
-	var ladder *resilience.Ladder
-	if p.solveBudget > 0 {
-		ladder, err = resilience.NewLadder(
-			resilience.Config{Budget: p.solveBudget, Metrics: p.metrics},
-			resilience.Chain(solver, seed)...)
-		if err != nil {
-			return nil, err
-		}
-	}
+	solver = resilience.Stack(solver, resilience.StackConfig{
+		Parallel: p.parallelism != 0,
+		Workers:  p.parallelism, // negative: GOMAXPROCS
+		Seed:     seed,
+		Metrics:  p.metrics,
+		Budget:   p.solveBudget,
+	})
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if ctx.Err() != nil {
@@ -314,7 +301,7 @@ func (p *Platform) RunBatch(ctx context.Context, solverName string) (*BatchResul
 	in.BuildCandidates(model.IndexRTree)
 
 	var a *model.Assignment
-	if ladder != nil {
+	if ladder, ok := solver.(*resilience.Ladder); ok {
 		var out resilience.Outcome
 		a, out = ladder.SolveBudgeted(ctx, in)
 		if out.Exhausted {

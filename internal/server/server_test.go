@@ -483,3 +483,32 @@ func TestSolveBudgetExhaustedReturns503(t *testing.T) {
 		t.Errorf("exhausted request dispatched %d tasks", st.DispatchedTasks)
 	}
 }
+
+// TestHTTPOversizeBodies: every route that decodes a body answers one past
+// MaxRequestBytes with 413 and the JSON error shape.
+func TestHTTPOversizeBodies(t *testing.T) {
+	p := newTestPlatform(t)
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	body := `{"solver":"` + strings.Repeat("x", MaxRequestBytes) + `"}`
+	for _, route := range []string{"POST /workers", "POST /tasks", "POST /batch", "POST /ratings", "PUT /workers/0"} {
+		method, path, _ := strings.Cut(route, " ")
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: bad JSON: %v", route, err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || out["error"] == "" {
+			t.Errorf("%s: status %d body %v, want 413 with an error", route, resp.StatusCode, out)
+		}
+	}
+}

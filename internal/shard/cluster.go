@@ -394,11 +394,16 @@ func (c *Cluster) RunBatch(ctx context.Context, solverName string) (*BatchResult
 	// round: solves then pay a single map probe per quality miss instead of
 	// K locked probes. Merging in shard order accumulates each pair's total
 	// exactly as clusterQuality would, so scores stay bitwise K-invariant.
+	// The history is keyed by worker ID, the instance by position.
 	hist := coop.NewHistory(int(c.nextWorkerID.Load()), c.alpha, c.omega)
 	for _, sh := range c.shards {
 		hist.AddFrom(sh.history)
 	}
-	in.Quality = hist
+	ids := make([]int, len(in.Workers))
+	for i, w := range in.Workers {
+		ids[i] = w.ID
+	}
+	in.Quality = coop.NewSubset(hist, ids)
 	res.Components = len(comps)
 
 	// Phase C: pin each component to the shard owning its lowest cell.
@@ -640,21 +645,21 @@ func (c *Cluster) solveShard(ctx context.Context, sh *Shard, solverName string, 
 	if err != nil {
 		return nil, nil, false, err
 	}
-	solver = assign.Instrument(solver, c.metrics)
+	var chaos *resilience.ChaosConfig
+	if c.chaos != nil {
+		cc := *c.chaos
+		cc.Seed = assign.ComponentSeed(cc.Seed, sh.id)
+		cc.Metrics = c.metrics
+		chaos = &cc
+	}
+	solver = resilience.Stack(solver, resilience.StackConfig{
+		Seed:    seed,
+		Metrics: c.metrics,
+		Budget:  c.solveBudget,
+		Chaos:   chaos,
+	})
 	var a *model.Assignment
-	if c.solveBudget > 0 {
-		rungs := resilience.Chain(solver, seed)
-		if c.chaos != nil {
-			cc := *c.chaos
-			cc.Seed = assign.ComponentSeed(cc.Seed, sh.id)
-			cc.Metrics = c.metrics
-			rungs = resilience.WithChaos(rungs, cc)
-		}
-		ladder, lerr := resilience.NewLadder(
-			resilience.Config{Budget: c.solveBudget, Metrics: c.metrics}, rungs...)
-		if lerr != nil {
-			return nil, nil, false, lerr
-		}
+	if ladder, ok := solver.(*resilience.Ladder); ok {
 		var out resilience.Outcome
 		a, out = ladder.SolveBudgeted(ctx, sub)
 		if out.Exhausted {

@@ -116,19 +116,27 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// decode reads the JSON request body into v, capped at server.MaxRequestBytes. On
+// failure it writes the error reply — 413 past the cap, 400 otherwise — and
+// returns false.
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, server.MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, fmt.Errorf("bad request body: %w", err))
+		return false
 	}
-	return nil
+	return true
 }
 
 func (c *Cluster) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	var req server.WorkerRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	id, err := c.RegisterWorker(geo.Pt(req.X, req.Y), req.Speed, req.Radius)
@@ -141,8 +149,7 @@ func (c *Cluster) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 
 func (c *Cluster) handlePostTask(w http.ResponseWriter, r *http.Request) {
 	var req server.TaskRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	id, err := c.PostTask(geo.Pt(req.X, req.Y), req.Capacity, req.Deadline)
@@ -164,8 +171,7 @@ type BatchResponse struct {
 
 func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req server.BatchRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.Solver == "" {
@@ -207,8 +213,7 @@ func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 func (c *Cluster) handleRate(w http.ResponseWriter, r *http.Request) {
 	var req server.RatingRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	if err := c.RateTask(req.TaskID, req.Score); err != nil {

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"casc/internal/server"
 )
 
 func postJSON(t *testing.T, srv *httptest.Server, path, body string) (*http.Response, map[string]any) {
@@ -171,5 +173,20 @@ func TestHTTPBadRequests(t *testing.T) {
 	qresp.Body.Close()
 	if qresp.StatusCode != http.StatusBadRequest {
 		t.Errorf("GET /quality with bad params: %d, want 400", qresp.StatusCode)
+	}
+}
+
+// TestHTTPOversizeBodies: every route that decodes a body answers one past
+// server.MaxRequestBytes with 413 and the JSON error shape.
+func TestHTTPOversizeBodies(t *testing.T) {
+	c := newTestCluster(t, 2)
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	body := `{"solver":"` + strings.Repeat("x", server.MaxRequestBytes) + `"}`
+	for _, path := range []string{"/workers", "/tasks", "/batch", "/ratings"} {
+		resp, out := postJSON(t, srv, path, body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || out["error"] == nil {
+			t.Errorf("POST %s: status %d body %v, want 413 with an error", path, resp.StatusCode, out)
+		}
 	}
 }
