@@ -85,41 +85,6 @@ func (h *History) SharedTasks(i, k int) int {
 	return h.count[keyOf(i, k)]
 }
 
-// AddFrom merges every pair record of src into h: sums and counts add,
-// and the worker count grows to cover src. Merging the per-shard
-// histories of a sharded platform (in shard order) therefore yields
-// exactly the Equation 1 estimates one global history would hold —
-// ratings are recorded in whichever shard owned the task, and each
-// pair's total is the order-fixed sum of its per-shard partial sums.
-func (h *History) AddFrom(src *History) {
-	src.mu.RLock()
-	defer src.mu.RUnlock()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	//casclint:ignore maporder each destination key is accumulated exactly once per source map, so float order across distinct keys cannot affect any key's value
-	for key, s := range src.sum {
-		h.sum[key] += s
-	}
-	for key, c := range src.count {
-		h.count[key] += c
-	}
-	if src.n > h.n {
-		h.n = src.n
-	}
-}
-
-// PairStats returns the accumulated rating sum and count for the pair
-// (i, k). Sums and counts from independent histories add, so callers
-// holding several histories (one per spatial shard) can aggregate pair
-// statistics into exactly the Equation 1 estimate one global history would
-// produce.
-func (h *History) PairStats(i, k int) (sum float64, count int) {
-	key := keyOf(i, k)
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.sum[key], h.count[key]
-}
-
 // Quality implements Model with Equation 1.
 func (h *History) Quality(i, k int) float64 {
 	if i == k {

@@ -88,8 +88,9 @@ func runShardPoint(ctx context.Context, opt Options, params workload.BlobParams,
 		res.BatchSeconds += elapsed / float64(opt.Rounds)
 		res.LatencySeconds = append(res.LatencySeconds, elapsed)
 		// Rate every dispatched task so later rounds solve against a
-		// populated cooperation history (rating values are exactly
-		// representable, keeping cross-shard aggregation order-free).
+		// populated cooperation history. The cluster keeps one history, so
+		// any rating values are K-invariant; 0.5/1.0 keep the committed
+		// baselines bitwise.
 		rated := map[int]bool{}
 		for _, p := range r.Pairs {
 			if rated[p.Task] {

@@ -145,9 +145,13 @@ func TestReductionOptimumDominatesKSP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := assign.NewBruteForce().Solve(ctx, red.CASC)
+		ex := assign.NewExact()
+		opt, err := ex.Solve(ctx, red.CASC)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !ex.Optimal {
+			t.Fatalf("trial %d: EXACT did not prove optimality", trial)
 		}
 		cascOpt := red.ScoreToWeight(opt.TotalScore(red.CASC))
 		kspOpt := ksp.Weight(ksp.SolveExact())
@@ -178,9 +182,13 @@ func TestReductionChunkCreditGap(t *testing.T) {
 	if math.Abs(kspOpt-2) > 1e-12 {
 		t.Fatalf("k-SP optimum = %v, want 2", kspOpt)
 	}
-	opt, err := assign.NewBruteForce().Solve(context.Background(), red.CASC)
+	ex := assign.NewExact()
+	opt, err := ex.Solve(context.Background(), red.CASC)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !ex.Optimal {
+		t.Fatal("EXACT did not prove optimality")
 	}
 	cascOpt := red.ScoreToWeight(opt.TotalScore(red.CASC))
 	if cascOpt <= kspOpt+1e-9 {

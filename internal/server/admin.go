@@ -177,32 +177,69 @@ func Restore(s *Snapshot, cfg Config) (*Platform, error) {
 	p.batches = s.Batches
 	p.dispatchedTasks = s.DoneTasks
 	p.history.Grow(s.NextWorkerID)
+	for _, r := range s.History {
+		if r.I >= s.NextWorkerID || r.K >= s.NextWorkerID {
+			return nil, fmt.Errorf("server: snapshot history pair (%d,%d) out of ID range", r.I, r.K)
+		}
+	}
 	if err := p.history.Import(s.History); err != nil {
 		return nil, err
 	}
-	for _, w := range s.Workers {
+	// Every worker is either available or in exactly one dispatched group,
+	// and every task is either open or dispatched: a worker listed twice
+	// would later record self cooperation, and an ID at or past the next
+	// one handed out would fall outside the history.
+	seenW := make(map[int]bool)
+	worker := func(w SnapshotWorker) (model.Worker, error) {
 		if w.ID < 0 || w.ID >= s.NextWorkerID {
-			return nil, fmt.Errorf("server: snapshot worker %d out of ID range", w.ID)
+			return model.Worker{}, fmt.Errorf("server: snapshot worker %d out of ID range", w.ID)
 		}
-		p.workers[w.ID] = model.Worker{
+		if seenW[w.ID] {
+			return model.Worker{}, fmt.Errorf("server: snapshot worker %d listed twice", w.ID)
+		}
+		seenW[w.ID] = true
+		return model.Worker{
 			ID: w.ID, Loc: geo.Pt(w.X, w.Y), Speed: w.Speed, Radius: w.Radius, Arrive: w.Arrive,
+		}, nil
+	}
+	seenT := make(map[int]bool)
+	task := func(id int) error {
+		if id < 0 || id >= s.NextTaskID {
+			return fmt.Errorf("server: snapshot task %d out of ID range", id)
 		}
+		if seenT[id] {
+			return fmt.Errorf("server: snapshot task %d listed twice", id)
+		}
+		seenT[id] = true
+		return nil
+	}
+	for _, sw := range s.Workers {
+		w, err := worker(sw)
+		if err != nil {
+			return nil, err
+		}
+		p.workers[w.ID] = w
 	}
 	for _, t := range s.Tasks {
-		if t.ID < 0 || t.ID >= s.NextTaskID {
-			return nil, fmt.Errorf("server: snapshot task %d out of ID range", t.ID)
+		if err := task(t.ID); err != nil {
+			return nil, err
 		}
 		p.tasks[t.ID] = model.Task{
 			ID: t.ID, Loc: geo.Pt(t.X, t.Y), Capacity: t.Capacity, Created: t.Created, Deadline: t.Deadline,
 		}
 	}
 	for _, g := range s.Dispatched {
+		if err := task(g.TaskID); err != nil {
+			return nil, err
+		}
 		grp := dispatchedGroup{loc: geo.Pt(g.X, g.Y)}
-		for _, w := range g.Workers {
+		for _, sw := range g.Workers {
+			w, err := worker(sw)
+			if err != nil {
+				return nil, err
+			}
 			grp.ids = append(grp.ids, w.ID)
-			grp.workers = append(grp.workers, model.Worker{
-				ID: w.ID, Loc: geo.Pt(w.X, w.Y), Speed: w.Speed, Radius: w.Radius, Arrive: w.Arrive,
-			})
+			grp.workers = append(grp.workers, w)
 		}
 		p.dispatched[g.TaskID] = grp
 		p.busyCount += len(grp.workers)
@@ -287,54 +324,54 @@ func (p *Platform) ListTasks() []SnapshotTask {
 //	DELETE /tasks/{id}
 //	GET    /snapshot                  → full state JSON
 func (p *Platform) registerAdmin(mux *http.ServeMux) {
-	p.route(mux, "GET /workers", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"workers": p.ListWorkers()})
+	Route(p.metrics, mux, "GET /workers", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, map[string]any{"workers": p.ListWorkers()})
 	})
-	p.route(mux, "GET /tasks", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"tasks": p.ListTasks()})
+	Route(p.metrics, mux, "GET /tasks", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, map[string]any{"tasks": p.ListTasks()})
 	})
-	p.route(mux, "PUT /workers/{id}", func(w http.ResponseWriter, r *http.Request) {
+	Route(p.metrics, mux, "PUT /workers/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, err := pathID(r)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		var req WorkerRequest
-		if !decode(w, r, &req) {
+		if !Decode(w, r, &req) {
 			return
 		}
 		if err := p.UpdateWorker(id, geo.Pt(req.X, req.Y), req.Speed, req.Radius); err != nil {
-			writeErr(w, http.StatusNotFound, err)
+			WriteErr(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{})
+		WriteJSON(w, http.StatusOK, map[string]string{})
 	})
-	p.route(mux, "DELETE /workers/{id}", func(w http.ResponseWriter, r *http.Request) {
+	Route(p.metrics, mux, "DELETE /workers/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, err := pathID(r)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		if err := p.UnregisterWorker(id); err != nil {
-			writeErr(w, http.StatusNotFound, err)
+			WriteErr(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{})
+		WriteJSON(w, http.StatusOK, map[string]string{})
 	})
-	p.route(mux, "DELETE /tasks/{id}", func(w http.ResponseWriter, r *http.Request) {
+	Route(p.metrics, mux, "DELETE /tasks/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, err := pathID(r)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		if err := p.CancelTask(id); err != nil {
-			writeErr(w, http.StatusNotFound, err)
+			WriteErr(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{})
+		WriteJSON(w, http.StatusOK, map[string]string{})
 	})
-	p.route(mux, "GET /snapshot", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, p.Snapshot())
+	Route(p.metrics, mux, "GET /snapshot", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, p.Snapshot())
 	})
 }
 

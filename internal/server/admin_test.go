@@ -155,10 +155,27 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	cases := map[string]*Snapshot{
-		"bad B":        {B: 1},
-		"worker range": {B: 2, NextWorkerID: 1, Workers: []SnapshotWorker{{ID: 5}}},
-		"task range":   {B: 2, NextTaskID: 1, Tasks: []SnapshotTask{{ID: 5, Capacity: 2}}},
-		"bad history":  {B: 2, History: []coop.PairRecord{{I: 0, K: 0, Count: 1}}},
+		"bad B":         {B: 1},
+		"worker range":  {B: 2, NextWorkerID: 1, Workers: []SnapshotWorker{{ID: 5}}},
+		"task range":    {B: 2, NextTaskID: 1, Tasks: []SnapshotTask{{ID: 5, Capacity: 2}}},
+		"bad history":   {B: 2, History: []coop.PairRecord{{I: 0, K: 0, Count: 1}}},
+		"history range": {B: 2, NextWorkerID: 2, History: []coop.PairRecord{{I: 0, K: 2, Sum: 1, Count: 1}}},
+		"group repeats worker": {B: 2, NextWorkerID: 2, NextTaskID: 1,
+			Dispatched: []SnapshotGroup{{TaskID: 0, Workers: []SnapshotWorker{{ID: 0}, {ID: 0}}}}},
+		"group worker range": {B: 2, NextTaskID: 1,
+			Dispatched: []SnapshotGroup{{TaskID: 0, Workers: []SnapshotWorker{{ID: 5}, {ID: 6}}}}},
+		"worker available and busy": {B: 2, NextWorkerID: 3, NextTaskID: 1,
+			Workers:    []SnapshotWorker{{ID: 1}},
+			Dispatched: []SnapshotGroup{{TaskID: 0, Workers: []SnapshotWorker{{ID: 0}, {ID: 1}}}}},
+		"dispatched task range": {B: 2, NextWorkerID: 2, NextTaskID: 1,
+			Dispatched: []SnapshotGroup{{TaskID: 1, Workers: []SnapshotWorker{{ID: 0}, {ID: 1}}}}},
+		"dispatched task repeated": {B: 2, NextWorkerID: 4, NextTaskID: 1,
+			Dispatched: []SnapshotGroup{
+				{TaskID: 0, Workers: []SnapshotWorker{{ID: 0}, {ID: 1}}},
+				{TaskID: 0, Workers: []SnapshotWorker{{ID: 2}, {ID: 3}}}}},
+		"task open and dispatched": {B: 2, NextWorkerID: 2, NextTaskID: 1,
+			Tasks:      []SnapshotTask{{ID: 0, Capacity: 2}},
+			Dispatched: []SnapshotGroup{{TaskID: 0, Workers: []SnapshotWorker{{ID: 0}, {ID: 1}}}}},
 	}
 	for name, s := range cases {
 		if _, err := Restore(s, Config{}); err == nil {
@@ -247,4 +264,82 @@ func TestListEndpoints(t *testing.T) {
 	if len(tasks) != 1 || tasks[0].Capacity != 2 {
 		t.Fatalf("tasks: %+v", tasks)
 	}
+}
+
+// FuzzRestore feeds arbitrary bytes through LoadSnapshot and Restore. A
+// snapshot Restore accepts must be safe to run: a round, a rating of every
+// dispatched and restored group, and a second round must neither panic,
+// fail, nor put one worker into two pairs of a round. The committed corpus
+// holds the two snapshots that used to restore and then panic.
+func FuzzRestore(f *testing.F) {
+	p, err := NewPlatform(Config{B: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := p.RegisterWorker(geo.Pt(0.5+float64(i)*0.01, 0.5), 0.1, 0.3); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := p.PostTask(geo.Pt(0.5, 0.5+float64(i)*0.02), 2, 5); err != nil {
+			f.Fatal(err)
+		}
+	}
+	res, err := p.RunBatch(context.Background(), "GT")
+	if err != nil || len(res.Pairs) == 0 {
+		f.Fatalf("seed round: %v, %d pairs", err, len(res.Pairs))
+	}
+	if err := p.RateTask(res.Pairs[0].Task, 0.9); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := p.PostTask(geo.Pt(0.51, 0.5), 2, 7); err != nil {
+		f.Fatal(err)
+	}
+	snap := p.Snapshot()
+	if _, err := Restore(snap, Config{}); err != nil {
+		f.Fatalf("valid snapshot refused: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := snap.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := LoadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		p, err := Restore(s, Config{})
+		if err != nil {
+			return
+		}
+		var toRate []int
+		for _, g := range s.Dispatched {
+			toRate = append(toRate, g.TaskID)
+		}
+		for round := 0; round < 2; round++ {
+			res, err := p.RunBatch(context.Background(), "GT")
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			seen := make(map[int]bool)
+			for i, pr := range res.Pairs {
+				if seen[pr.Worker] {
+					t.Fatalf("round %d: worker %d dispatched twice", round, pr.Worker)
+				}
+				seen[pr.Worker] = true
+				if i == 0 || res.Pairs[i-1].Task != pr.Task {
+					toRate = append(toRate, pr.Task)
+				}
+			}
+			for _, id := range toRate {
+				if err := p.RateTask(id, 0.37); err != nil {
+					t.Fatalf("round %d: rate task %d: %v", round, id, err)
+				}
+			}
+			toRate = nil
+		}
+	})
 }

@@ -36,14 +36,14 @@ const (
 // Errors are returned as {"error": "..."} with a 4xx status.
 func (p *Platform) Handler() http.Handler {
 	mux := http.NewServeMux()
-	p.route(mux, "POST /workers", p.handleRegisterWorker)
-	p.route(mux, "POST /tasks", p.handlePostTask)
-	p.route(mux, "POST /batch", p.handleBatch)
-	p.route(mux, "POST /ratings", p.handleRate)
-	p.route(mux, "GET /quality", p.handleQuality)
-	p.route(mux, "GET /recommend", p.handleRecommend)
-	p.route(mux, "GET /status", p.handleStatus)
-	p.route(mux, "GET /metrics", p.metrics.Handler().ServeHTTP)
+	Route(p.metrics, mux, "POST /workers", p.handleRegisterWorker)
+	Route(p.metrics, mux, "POST /tasks", p.handlePostTask)
+	Route(p.metrics, mux, "POST /batch", p.handleBatch)
+	Route(p.metrics, mux, "POST /ratings", p.handleRate)
+	Route(p.metrics, mux, "GET /quality", p.handleQuality)
+	Route(p.metrics, mux, "GET /recommend", p.handleRecommend)
+	Route(p.metrics, mux, "GET /status", p.handleStatus)
+	Route(p.metrics, mux, "GET /metrics", p.metrics.Handler().ServeHTTP)
 	p.registerAdmin(mux)
 	if p.pprof {
 		// pprof.Index routes /debug/pprof/{heap,goroutine,...} itself.
@@ -56,19 +56,20 @@ func (p *Platform) Handler() http.Handler {
 	return mux
 }
 
-// route registers pattern with request counting and latency recording.
-// The route label is the registration pattern, not the raw URL, so
-// cardinality stays bounded no matter what clients request.
-func (p *Platform) route(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
+// Route registers pattern on mux with request counting and latency
+// recording into reg. The route label is the registration pattern, not the
+// raw URL, so cardinality stays bounded no matter what clients request.
+// Both the platform and the sharded cluster register every route with it.
+func Route(reg *metrics.Registry, mux *http.ServeMux, pattern string, h http.HandlerFunc) {
 	routeLbl := metrics.L("route", pattern)
-	lat := p.metrics.Histogram(MetricHTTPRequestSeconds, "HTTP request latency in seconds.",
+	lat := reg.Histogram(MetricHTTPRequestSeconds, "HTTP request latency in seconds.",
 		metrics.LatencyBuckets(), routeLbl)
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
 		lat.Observe(time.Since(start).Seconds())
-		p.metrics.Counter(MetricHTTPRequests, "HTTP requests by route and status code.",
+		reg.Counter(MetricHTTPRequests, "HTTP requests by route and status code.",
 			routeLbl, metrics.L("code", strconv.Itoa(sw.code))).Inc()
 	})
 }
@@ -84,24 +85,26 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON reply with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// WriteErr writes the {"error": ...} reply every API error uses.
+func WriteErr(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // MaxRequestBytes caps every JSON request body the platform and the
 // cluster decode. The largest request DTO is under 200 bytes.
 const MaxRequestBytes = 64 << 10
 
-// decode reads the JSON request body into v, capped at MaxRequestBytes. On
+// Decode reads the JSON request body into v, capped at MaxRequestBytes. On
 // failure it writes the error reply — 413 past the cap, 400 otherwise — and
 // returns false.
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -110,10 +113,20 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeErr(w, status, fmt.Errorf("bad request body: %w", err))
+		WriteErr(w, status, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
+}
+
+// RetryAfter renders d as a Retry-After value in whole seconds, rounded up
+// (minimum 1) so the advertised wait is never shorter than the real one.
+func RetryAfter(d time.Duration) string {
+	s := int64(d / time.Second)
+	if d%time.Second != 0 || s == 0 {
+		s++
+	}
+	return strconv.FormatInt(s, 10)
 }
 
 // WorkerRequest is the POST /workers body.
@@ -126,15 +139,15 @@ type WorkerRequest struct {
 
 func (p *Platform) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	var req WorkerRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 	id, err := p.RegisterWorker(geo.Pt(req.X, req.Y), req.Speed, req.Radius)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]int{"id": id})
+	WriteJSON(w, http.StatusCreated, map[string]int{"id": id})
 }
 
 // TaskRequest is the POST /tasks body.
@@ -147,15 +160,15 @@ type TaskRequest struct {
 
 func (p *Platform) handlePostTask(w http.ResponseWriter, r *http.Request) {
 	var req TaskRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 	id, err := p.PostTask(geo.Pt(req.X, req.Y), req.Capacity, req.Deadline)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]int{"id": id})
+	WriteJSON(w, http.StatusCreated, map[string]int{"id": id})
 }
 
 // BatchRequest is the POST /batch body.
@@ -180,7 +193,7 @@ type PairJSON struct {
 
 func (p *Platform) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 	if req.Solver == "" {
@@ -197,17 +210,13 @@ func (p *Platform) handleBatch(w http.ResponseWriter, r *http.Request) {
 	res, err := p.RunBatch(ctx, req.Solver)
 	if errors.Is(err, ErrBudgetExhausted) {
 		// Degraded, not broken: tell clients when a retry is worth it —
-		// one full budget from now, rounded up to whole seconds.
-		retry := int64(p.solveBudget / time.Second)
-		if p.solveBudget%time.Second != 0 || retry == 0 {
-			retry++
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(retry, 10))
-		writeErr(w, http.StatusServiceUnavailable, err)
+		// one full budget from now.
+		w.Header().Set("Retry-After", RetryAfter(p.solveBudget))
+		WriteErr(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	resp := BatchResponse{
@@ -220,7 +229,7 @@ func (p *Platform) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for _, pr := range res.Pairs {
 		resp.Pairs = append(resp.Pairs, PairJSON{Worker: pr.Worker, Task: pr.Task})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // RatingRequest is the POST /ratings body.
@@ -231,31 +240,31 @@ type RatingRequest struct {
 
 func (p *Platform) handleRate(w http.ResponseWriter, r *http.Request) {
 	var req RatingRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
 	if err := p.RateTask(req.TaskID, req.Score); err != nil {
-		writeErr(w, http.StatusConflict, err)
+		WriteErr(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{})
+	WriteJSON(w, http.StatusOK, map[string]string{})
 }
 
 func (p *Platform) handleQuality(w http.ResponseWriter, r *http.Request) {
 	i, err1 := strconv.Atoi(r.URL.Query().Get("i"))
 	k, err2 := strconv.Atoi(r.URL.Query().Get("k"))
 	if err1 != nil || err2 != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("quality needs integer i and k params"))
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf("quality needs integer i and k params"))
 		return
 	}
 	q, err := p.Quality(i, k)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{"quality": q})
+	WriteJSON(w, http.StatusOK, map[string]float64{"quality": q})
 }
 
 func (p *Platform) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, p.Status())
+	WriteJSON(w, http.StatusOK, p.Status())
 }

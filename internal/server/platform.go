@@ -297,7 +297,12 @@ func (p *Platform) RunBatch(ctx context.Context, solverName string) (*BatchResul
 	for _, id := range taskIDs {
 		in.Tasks = append(in.Tasks, p.tasks[id])
 	}
-	in.Quality = coop.NewCached(coop.NewSubset(p.history, workerIDs))
+	in.Quality = coop.NewSubset(p.history, workerIDs)
+	if p.parallelism == 0 {
+		// Cached is not safe for concurrent use, and parallel component
+		// solves all read in.Quality; History itself is.
+		in.Quality = coop.NewCached(in.Quality)
+	}
 	in.BuildCandidates(model.IndexRTree)
 
 	var a *model.Assignment

@@ -89,23 +89,23 @@ func (p *Platform) Recommend(workerID int, limit int) ([]Recommendation, error) 
 func (p *Platform) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.URL.Query().Get("worker"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("recommend needs an integer worker param"))
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf("recommend needs an integer worker param"))
 		return
 	}
 	limit := 10
 	if ls := r.URL.Query().Get("limit"); ls != "" {
 		if limit, err = strconv.Atoi(ls); err != nil || limit < 1 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", ls))
+			WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", ls))
 			return
 		}
 	}
 	recs, err := p.Recommend(id, limit)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		WriteErr(w, http.StatusNotFound, err)
 		return
 	}
 	if recs == nil {
 		recs = []Recommendation{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"recommendations": recs})
+	WriteJSON(w, http.StatusOK, map[string]any{"recommendations": recs})
 }

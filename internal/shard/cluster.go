@@ -82,13 +82,13 @@ type Config struct {
 }
 
 // Cluster is a K-shard CA-SC platform. All methods are safe for concurrent
-// use. Registrations, ratings and reads synchronize per shard; RunBatch
-// serializes rounds on its own lock but solves outside the shard locks, so
-// no read or registration ever waits on a solve.
+// use. Registrations and reads synchronize per shard; RunBatch serializes
+// rounds on its own lock but solves outside the shard locks, so no read or
+// registration ever waits on a solve. A rating takes the round lock too, so
+// a solve never sees a rating that lands mid-round.
 type Cluster struct {
 	b           int
-	alpha       float64
-	omega       float64
+	history     *coop.History // the one Equation 1 history, keyed by worker ID
 	solveBudget time.Duration
 	chaos       *resilience.ChaosConfig
 	geom        Geometry
@@ -103,7 +103,7 @@ type Cluster struct {
 	clock        func() float64
 	advance      func()
 
-	batchMu sync.Mutex // serializes RunBatch rounds
+	batchMu sync.Mutex // serializes RunBatch rounds and ratings; taken before any shard.mu
 
 	// Incremental-round state, guarded by batchMu: the persistent engine
 	// and the home shard of every entity currently inside it.
@@ -151,8 +151,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		b:           cfg.B,
-		alpha:       cfg.Alpha,
-		omega:       cfg.Omega,
+		history:     coop.NewHistory(0, cfg.Alpha, cfg.Omega),
 		solveBudget: cfg.SolveBudget,
 		chaos:       cfg.Chaos,
 		geom:        geom,
@@ -182,7 +181,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 	for i := 0; i < cfg.K; i++ {
-		c.shards = append(c.shards, newShard(i, cfg.Alpha, cfg.Omega, reg))
+		c.shards = append(c.shards, newShard(i, reg))
 	}
 	if cfg.Incremental {
 		c.inc = incremental.New(incremental.Config{B: cfg.B, OrderByID: true, Metrics: reg})
@@ -212,32 +211,6 @@ func (c *Cluster) Router() string { return c.router.Name() }
 // Now returns the cluster's current platform time.
 func (c *Cluster) Now() float64 { return c.clock() }
 
-// clusterQuality estimates Equation 1 qualities from the pair statistics
-// accumulated across every shard's history: ratings recorded on different
-// shards for the same worker pair aggregate exactly as one global history
-// would (sums and counts add).
-type clusterQuality struct{ c *Cluster }
-
-func (q clusterQuality) Quality(i, k int) float64 {
-	if i == k {
-		return 0
-	}
-	var sum float64
-	var cnt int
-	for _, sh := range q.c.shards {
-		s, n := sh.history.PairStats(i, k)
-		sum += s
-		cnt += n
-	}
-	hist := q.c.omega
-	if cnt > 0 {
-		hist = sum / float64(cnt)
-	}
-	return q.c.alpha*q.c.omega + (1-q.c.alpha)*hist
-}
-
-func (q clusterQuality) NumWorkers() int { return int(q.c.nextWorkerID.Load()) }
-
 // route picks the home shard for a new entity at loc.
 func (c *Cluster) route(loc geo.Point) int {
 	loads := make([]int, len(c.shards))
@@ -257,6 +230,7 @@ func (c *Cluster) RegisterWorker(loc geo.Point, speed, radius float64) (int, err
 		return 0, fmt.Errorf("shard: negative speed or radius")
 	}
 	id := int(c.nextWorkerID.Add(1) - 1)
+	c.history.Grow(id + 1)
 	c.shards[c.route(loc)].addWorker(model.Worker{
 		ID: id, Loc: loc, Speed: speed, Radius: radius, Arrive: c.clock(),
 	})
@@ -286,23 +260,26 @@ func (c *Cluster) Quality(i, k int) (float64, error) {
 	if i == k || i < 0 || k < 0 || i >= n || k >= n {
 		return 0, fmt.Errorf("shard: bad worker pair (%d,%d)", i, k)
 	}
-	return clusterQuality{c}.Quality(i, k), nil
+	return c.history.Quality(i, k), nil
 }
 
-// RateTask records the requester's rating s in [0,1] for a dispatched task.
-// The rating lands in the history of the shard that owns the task's region;
+// RateTask records the requester's rating s in [0,1] for a dispatched task
+// in the cluster's history. The shard owning the task's region counts it;
 // the group's workers rejoin the pool at the task's location, re-homed by
-// the router — the rating-side half of the ghost/handoff protocol.
+// the router — the rating-side half of the ghost/handoff protocol. A rating
+// waits for a running round, so every solve reads one fixed history.
 func (c *Cluster) RateTask(taskID int, score float64) error {
 	if score < 0 || score > 1 {
 		return fmt.Errorf("shard: rating %v outside [0,1]", score)
 	}
+	c.batchMu.Lock()
+	defer c.batchMu.Unlock()
 	for _, sh := range c.shards {
 		grp, ok := sh.takeRated(taskID)
 		if !ok {
 			continue
 		}
-		sh.history.RecordGroup(grp.ids, score)
+		c.history.RecordGroup(grp.ids, score)
 		for i, w := range grp.workers {
 			w.Loc = grp.loc
 			w.Arrive = c.clock()
@@ -390,20 +367,13 @@ func (c *Cluster) RunBatch(ctx context.Context, solverName string) (*BatchResult
 	} else {
 		in, comps, workerHome, taskHome = c.snapshotRound(nowT, res)
 	}
-	// Snapshot the per-shard histories into one flat history for the whole
-	// round: solves then pay a single map probe per quality miss instead of
-	// K locked probes. Merging in shard order accumulates each pair's total
-	// exactly as clusterQuality would, so scores stay bitwise K-invariant.
-	// The history is keyed by worker ID, the instance by position.
-	hist := coop.NewHistory(int(c.nextWorkerID.Load()), c.alpha, c.omega)
-	for _, sh := range c.shards {
-		hist.AddFrom(sh.history)
-	}
+	// The history is keyed by worker ID, the instance by position. Ratings
+	// wait on batchMu, so the history stays fixed for the whole round.
 	ids := make([]int, len(in.Workers))
 	for i, w := range in.Workers {
 		ids[i] = w.ID
 	}
-	in.Quality = coop.NewSubset(hist, ids)
+	in.Quality = coop.NewSubset(c.history, ids)
 	res.Components = len(comps)
 
 	// Phase C: pin each component to the shard owning its lowest cell.

@@ -37,9 +37,11 @@ type roundTrace struct {
 }
 
 // driveCluster runs the same seeded multi-round workload against a
-// K-shard cluster and returns the per-round traces plus a sample of final
-// quality estimates. Ratings use only 0.5 and 1.0 — exactly representable,
-// so per-pair history sums are independent of which shard accumulated them.
+// K-shard cluster and returns the per-round traces plus the final quality
+// estimate of every worker pair. Ratings are not dyadic (0.03 + (task mod
+// 10)/10), so a pair's history sum depends on the order its ratings were
+// added: the cluster's one history must add them in rating-call order for
+// every K.
 func driveCluster(t *testing.T, k int, seed int64, solver string) ([]roundTrace, []uint64) {
 	t.Helper()
 	c := newTestCluster(t, k)
@@ -51,7 +53,7 @@ func driveCluster(t *testing.T, k int, seed int64, solver string) ([]roundTrace,
 		}
 	}
 	var traces []roundTrace
-	for round := 0; round < 3; round++ {
+	for round := 0; round < 8; round++ {
 		for j := 0; j < 15; j++ {
 			_, err := c.PostTask(geo.Pt(rng.Float64(), rng.Float64()), 3+rng.Intn(3), c.clock()+2.5)
 			if err != nil {
@@ -77,27 +79,20 @@ func driveCluster(t *testing.T, k int, seed int64, solver string) ([]roundTrace,
 				continue
 			}
 			rated[p.Task] = true
-			score := 0.5
-			if p.Task%2 == 1 {
-				score = 1.0
-			}
-			if err := c.RateTask(p.Task, score); err != nil {
+			if err := c.RateTask(p.Task, 0.03+float64(p.Task%10)/10); err != nil {
 				t.Fatalf("K=%d rate task %d: %v", k, p.Task, err)
 			}
 		}
 	}
 	var qs []uint64
-	n := int(c.nextWorkerID.Load())
-	for i := 0; i < 10; i++ {
-		a, b := (i*7)%n, (i*13+1)%n
-		if a == b {
-			continue
+	for a := 0; a < m; a++ {
+		for b := a + 1; b < m; b++ {
+			q, err := c.Quality(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs = append(qs, math.Float64bits(q))
 		}
-		q, err := c.Quality(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs = append(qs, math.Float64bits(q))
 	}
 	return traces, qs
 }
@@ -248,15 +243,18 @@ func TestClusterExpiry(t *testing.T) {
 	}
 }
 
-// TestClusterConcurrentHammer drives registrations, posts, reads and batch
-// rounds from many goroutines at once; run under -race it is the shard
-// tier's synchronization audit.
+// TestClusterConcurrentHammer drives registrations, posts, reads, batch
+// rounds and ratings from many goroutines at once; run under -race it is
+// the shard tier's synchronization audit. Raters rate every task the
+// batchers dispatch, so ratings (batchMu, then shard.mu) contend with
+// rounds over the shared history.
 func TestClusterConcurrentHammer(t *testing.T) {
 	c := newTestCluster(t, 4)
 	const (
 		writers  = 8
 		perG     = 50
 		batchers = 2
+		raters   = 2
 	)
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
@@ -276,7 +274,8 @@ func TestClusterConcurrentHammer(t *testing.T) {
 		}(g)
 	}
 	done := make(chan struct{})
-	var batchWG sync.WaitGroup
+	toRate := make(chan int, 64)
+	var batchWG, rateWG sync.WaitGroup
 	for b := 0; b < batchers; b++ {
 		batchWG.Add(1)
 		go func() {
@@ -286,10 +285,27 @@ func TestClusterConcurrentHammer(t *testing.T) {
 				case <-done:
 					return
 				default:
-					if _, err := c.RunBatch(context.Background(), "GT"); err != nil {
+					res, err := c.RunBatch(context.Background(), "GT")
+					if err != nil {
 						t.Error(err)
 						return
 					}
+					for i, p := range res.Pairs {
+						if i == 0 || res.Pairs[i-1].Task != p.Task {
+							toRate <- p.Task
+						}
+					}
+				}
+			}
+		}()
+	}
+	for r := 0; r < raters; r++ {
+		rateWG.Add(1)
+		go func() {
+			defer rateWG.Done()
+			for id := range toRate {
+				if err := c.RateTask(id, 0.03+float64(id%10)/10); err != nil {
+					t.Error(err)
 				}
 			}
 		}()
@@ -297,9 +313,17 @@ func TestClusterConcurrentHammer(t *testing.T) {
 	wg.Wait()
 	close(done)
 	batchWG.Wait()
+	close(toRate)
+	rateWG.Wait()
 	st := c.Status()
+	if st.DispatchedTasks == 0 {
+		t.Fatal("no round dispatched anything; the raters were idle")
+	}
 	total := st.AvailableWorkers + st.BusyWorkers
 	if want := int(c.nextWorkerID.Load()); total != want {
 		t.Errorf("workers accounted = %d, want %d", total, want)
+	}
+	if st.BusyWorkers != 0 {
+		t.Errorf("busy workers = %d after every dispatched task was rated, want 0", st.BusyWorkers)
 	}
 }

@@ -2,16 +2,13 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"time"
 
 	"casc/internal/geo"
-	"casc/internal/metrics"
 	"casc/internal/server"
 )
 
@@ -34,14 +31,14 @@ import (
 // one backoff path for both.
 func (c *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
-	c.httpRoute(mux, "POST /workers", c.admitted(c.handleRegisterWorker))
-	c.httpRoute(mux, "POST /tasks", c.admitted(c.handlePostTask))
-	c.httpRoute(mux, "POST /batch", c.admitted(c.handleBatch))
-	c.httpRoute(mux, "POST /ratings", c.admitted(c.handleRate))
-	c.httpRoute(mux, "GET /quality", c.handleQuality)
-	c.httpRoute(mux, "GET /status", c.handleStatus)
-	c.httpRoute(mux, "GET /shards", c.handleShards)
-	c.httpRoute(mux, "GET /metrics", c.metrics.Handler().ServeHTTP)
+	server.Route(c.metrics, mux, "POST /workers", c.admitted(c.handleRegisterWorker))
+	server.Route(c.metrics, mux, "POST /tasks", c.admitted(c.handlePostTask))
+	server.Route(c.metrics, mux, "POST /batch", c.admitted(c.handleBatch))
+	server.Route(c.metrics, mux, "POST /ratings", c.admitted(c.handleRate))
+	server.Route(c.metrics, mux, "GET /quality", c.handleQuality)
+	server.Route(c.metrics, mux, "GET /status", c.handleStatus)
+	server.Route(c.metrics, mux, "GET /shards", c.handleShards)
+	server.Route(c.metrics, mux, "GET /metrics", c.metrics.Handler().ServeHTTP)
 	if c.pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -50,22 +47,6 @@ func (c *Cluster) Handler() http.Handler {
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 	return mux
-}
-
-// httpRoute registers pattern with the platform's request-counting and
-// latency-recording convention (casc_http_* series, route label = pattern).
-func (c *Cluster) httpRoute(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
-	routeLbl := metrics.L("route", pattern)
-	lat := c.metrics.Histogram(server.MetricHTTPRequestSeconds, "HTTP request latency in seconds.",
-		metrics.LatencyBuckets(), routeLbl)
-	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		lat.Observe(now().Sub(start).Seconds())
-		c.metrics.Counter(server.MetricHTTPRequests, "HTTP requests by route and status code.",
-			routeLbl, metrics.L("code", strconv.Itoa(sw.code))).Inc()
-	})
 }
 
 // admitted wraps a mutating handler with token-bucket admission control.
@@ -77,87 +58,39 @@ func (c *Cluster) admitted(h http.HandlerFunc) http.HandlerFunc {
 		if err := c.admission.Admit(); err != nil {
 			var shed *ErrAdmission
 			if errors.As(err, &shed) {
-				w.Header().Set("Retry-After", retryAfterSeconds(shed.RetryAfter))
+				w.Header().Set("Retry-After", server.RetryAfter(shed.RetryAfter))
 			}
-			writeErr(w, http.StatusServiceUnavailable, err)
+			server.WriteErr(w, http.StatusServiceUnavailable, err)
 			return
 		}
 		h(w, r)
 	}
 }
 
-// retryAfterSeconds renders a duration as whole seconds, rounded up so the
-// advertised wait is never shorter than the real one.
-func retryAfterSeconds(d time.Duration) string {
-	s := int64(d / time.Second)
-	if d%time.Second != 0 || s == 0 {
-		s++
-	}
-	return strconv.FormatInt(s, 10)
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// decode reads the JSON request body into v, capped at server.MaxRequestBytes. On
-// failure it writes the error reply — 413 past the cap, 400 otherwise — and
-// returns false.
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, server.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeErr(w, status, fmt.Errorf("bad request body: %w", err))
-		return false
-	}
-	return true
-}
-
 func (c *Cluster) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	var req server.WorkerRequest
-	if !decode(w, r, &req) {
+	if !server.Decode(w, r, &req) {
 		return
 	}
 	id, err := c.RegisterWorker(geo.Pt(req.X, req.Y), req.Speed, req.Radius)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]int{"id": id})
+	server.WriteJSON(w, http.StatusCreated, map[string]int{"id": id})
 }
 
 func (c *Cluster) handlePostTask(w http.ResponseWriter, r *http.Request) {
 	var req server.TaskRequest
-	if !decode(w, r, &req) {
+	if !server.Decode(w, r, &req) {
 		return
 	}
 	id, err := c.PostTask(geo.Pt(req.X, req.Y), req.Capacity, req.Deadline)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]int{"id": id})
+	server.WriteJSON(w, http.StatusCreated, map[string]int{"id": id})
 }
 
 // BatchResponse is the cluster's POST /batch reply: the platform's reply
@@ -171,7 +104,7 @@ type BatchResponse struct {
 
 func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req server.BatchRequest
-	if !decode(w, r, &req) {
+	if !server.Decode(w, r, &req) {
 		return
 	}
 	if req.Solver == "" {
@@ -185,12 +118,12 @@ func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := c.RunBatch(ctx, req.Solver)
 	if errors.Is(err, ErrBudgetExhausted) {
-		w.Header().Set("Retry-After", retryAfterSeconds(c.solveBudget))
-		writeErr(w, http.StatusServiceUnavailable, err)
+		w.Header().Set("Retry-After", server.RetryAfter(c.solveBudget))
+		server.WriteErr(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	resp := BatchResponse{
@@ -208,40 +141,40 @@ func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for _, pr := range res.Pairs {
 		resp.Pairs = append(resp.Pairs, server.PairJSON{Worker: pr.Worker, Task: pr.Task})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Cluster) handleRate(w http.ResponseWriter, r *http.Request) {
 	var req server.RatingRequest
-	if !decode(w, r, &req) {
+	if !server.Decode(w, r, &req) {
 		return
 	}
 	if err := c.RateTask(req.TaskID, req.Score); err != nil {
-		writeErr(w, http.StatusConflict, err)
+		server.WriteErr(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{})
+	server.WriteJSON(w, http.StatusOK, map[string]string{})
 }
 
 func (c *Cluster) handleQuality(w http.ResponseWriter, r *http.Request) {
 	i, err1 := strconv.Atoi(r.URL.Query().Get("i"))
 	k, err2 := strconv.Atoi(r.URL.Query().Get("k"))
 	if err1 != nil || err2 != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("quality needs integer i and k params"))
+		server.WriteErr(w, http.StatusBadRequest, fmt.Errorf("quality needs integer i and k params"))
 		return
 	}
 	q, err := c.Quality(i, k)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{"quality": q})
+	server.WriteJSON(w, http.StatusOK, map[string]float64{"quality": q})
 }
 
 func (c *Cluster) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
+	server.WriteJSON(w, http.StatusOK, c.Status())
 }
 
 func (c *Cluster) handleShards(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status().PerShard)
+	server.WriteJSON(w, http.StatusOK, c.Status().PerShard)
 }

@@ -79,7 +79,8 @@ func diffPlatformCluster(t *testing.T, solver string, seed int64, rounds int) in
 		total += pr.DispatchedTasks
 
 		// Rate about two thirds of the dispatched tasks, in ascending task
-		// order, with exactly representable scores.
+		// order. Both tiers keep one history fed in this same order, so the
+		// score values need no special form.
 		rated := map[int]bool{}
 		for _, pair := range pr.Pairs {
 			if rated[pair.Task] {
