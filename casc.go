@@ -351,7 +351,8 @@ func RunOnline(in *Instance, p OnlinePolicy) *Assignment { return online.Run(in,
 // Platform service (the HTTP crowdsourcing platform).
 type (
 	// Platform is the in-memory spatial crowdsourcing platform with the
-	// Equation 1 rating feedback loop.
+	// Equation 1 rating feedback loop, split into PlatformConfig.K spatial
+	// shards (0: one).
 	Platform = server.Platform
 	// PlatformConfig configures a Platform.
 	PlatformConfig = server.Config

@@ -6,13 +6,14 @@
 // platform state (including the rating history) is loaded at startup and
 // saved on shutdown.
 //
-// With -shards N (N >= 1) the process serves the region-sharded cluster
-// tier instead of the single platform: the unit square is split into N
-// spatial shards, new workers and tasks are placed by the -router policy,
-// and batch rounds decompose into validity-graph components pinned to the
-// shard owning their lowest cell. -admission enables token-bucket load
-// shedding on the mutating endpoints. -snapshot is not supported in
-// sharded mode.
+// -shards N splits the unit square into N spatial shards (0 or 1: one
+// shard): new workers and tasks are placed by the -router policy, and
+// batch rounds decompose into validity-graph components pinned to the
+// shard owning their lowest cell, each shard solving its own. Results do
+// not depend on N. -admission enables token-bucket load shedding on the
+// mutating endpoints, and -incremental keeps the candidate graph in a
+// persistent engine across batches (worker updates and removals and task
+// cancellations are then refused).
 //
 // Usage:
 //
@@ -25,6 +26,7 @@
 //	curl -XPOST localhost:8080/ratings -d '{"task_id":0,"score":0.9}'
 //	curl -XPUT  localhost:8080/workers/0 -d '{"x":0.7,"y":0.7,"speed":-1,"radius":-1}'
 //	curl localhost:8080/status
+//	curl localhost:8080/shards
 //	curl localhost:8080/metrics
 //	curl localhost:8080/snapshot
 package main
@@ -55,55 +57,38 @@ func main() {
 		parallel = flag.Bool("parallel", false, "decompose each batch into connected components and solve them concurrently")
 		workers  = flag.Int("workers", 0, "component worker pool under -parallel (0: GOMAXPROCS)")
 		budget   = flag.Duration("budget", 0, "per-request solve deadline for POST /batch; exhaustion returns 503 + Retry-After")
-		shards   = flag.Int("shards", 0, "spatial shard count; 0 serves the single unsharded platform")
+		shards   = flag.Int("shards", 0, "spatial shard count (0 or 1: one shard)")
 		routerF  = flag.String("router", "region", "shard placement policy: region, round-robin or least-loaded")
 		admitF   = flag.Float64("admission", 0, "token-bucket admission rate (requests/s) on mutating endpoints; 0 disables")
 		admitB   = flag.Int("admission-burst", 0, "token-bucket burst capacity (0: ceil of -admission)")
-		incr     = flag.Bool("incremental", false, "with -shards: maintain the candidate graph in the persistent incremental engine across batches (bitwise identical results)")
+		incr     = flag.Bool("incremental", false, "maintain the candidate graph in the persistent incremental engine across batches (bitwise identical results; refuses worker updates, removals and task cancellations)")
 	)
 	flag.Parse()
 
-	var handler http.Handler
-	var p *server.Platform
-	if *shards > 0 {
-		if *snapshot != "" {
-			log.Fatal("-snapshot is not supported with -shards")
+	policy, err := shard.NewPolicy(*routerF)
+	if err != nil {
+		log.Fatal(err)
+	}
+	parallelism := 0
+	if *parallel {
+		parallelism = *workers
+		if parallelism <= 0 {
+			parallelism = -1 // server.Config: negative selects GOMAXPROCS
 		}
-		policy, err := shard.NewPolicy(*routerF)
-		if err != nil {
-			log.Fatal(err)
-		}
-		c, err := shard.NewCluster(shard.Config{
-			K: *shards, B: *b, Alpha: *alpha, Omega: *omega,
-			Router: policy, AdmissionRate: *admitF, AdmissionBurst: *admitB,
-			EnablePprof: *pprofF, SolveBudget: *budget, Incremental: *incr,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		handler = c.Handler()
-	} else {
-		if *incr {
-			log.Fatal("-incremental requires -shards (the unsharded platform solves single batches with no cross-round state)")
-		}
-		parallelism := 0
-		if *parallel {
-			parallelism = *workers
-			if parallelism <= 0 {
-				parallelism = -1 // server.Config: negative selects GOMAXPROCS
-			}
-		}
-		var err error
-		p, err = buildPlatform(*snapshot, server.Config{B: *b, Alpha: *alpha, Omega: *omega, EnablePprof: *pprofF, Parallelism: parallelism, SolveBudget: *budget})
-		if err != nil {
-			log.Fatal(err)
-		}
-		handler = p.Handler()
+	}
+	p, err := buildPlatform(*snapshot, server.Config{
+		K: *shards, B: *b, Alpha: *alpha, Omega: *omega,
+		Router: policy, AdmissionRate: *admitF, AdmissionBurst: *admitB,
+		EnablePprof: *pprofF, Parallelism: parallelism, SolveBudget: *budget,
+		Incremental: *incr,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           p.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -111,12 +96,9 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	if *shards > 0 {
-		fmt.Printf("casc-server listening on %s (B=%d, α=%g, ω=%g, shards=%d, router=%s)\n",
-			*addr, *b, *alpha, *omega, *shards, *routerF)
-	} else {
-		fmt.Printf("casc-server listening on %s (B=%d, α=%g, ω=%g)\n", *addr, *b, *alpha, *omega)
-	}
+	st := p.Status()
+	fmt.Printf("casc-server listening on %s (B=%d, α=%g, ω=%g, shards=%d, router=%s)\n",
+		*addr, *b, *alpha, *omega, st.Shards, st.Router)
 
 	select {
 	case err := <-errCh:

@@ -31,7 +31,7 @@ import (
 	"casc/internal/resilience"
 	"casc/internal/roadnet"
 	"casc/internal/scenario"
-	"casc/internal/shard"
+	"casc/internal/server"
 	"casc/internal/trace"
 	"casc/internal/viz"
 	"casc/internal/workload"
@@ -54,7 +54,7 @@ func main() {
 		parallel = flag.Bool("parallel", false, "decompose each batch into connected components and solve them concurrently")
 		workers  = flag.Int("workers", 0, "component worker pool under -parallel (0: GOMAXPROCS)")
 		budget   = flag.Duration("budget", 0, "per-round solve budget; overruns fall through the anytime ladder (solver → TPG → RAND → empty floor)")
-		shards   = flag.Int("shards", 0, "with -rounds: drive the region-sharded cluster tier with this many spatial shards (0: monolithic batch pipeline)")
+		shards   = flag.Int("shards", 0, "with -rounds: drive the sharded server platform with this many spatial shards (0: monolithic batch pipeline)")
 		incr     = flag.Bool("incremental", false, "with -rounds: solve through the persistent incremental engine (dirty-component re-solve; bitwise identical rounds for deterministic solvers)")
 		chaos    = flag.Bool("chaos", false, "inject seeded deterministic faults into every ladder rung (rehearsal mode; seeded by -seed)")
 		chFail   = flag.Float64("chaos-fail", 1.0, "with -chaos: probability a rung solve fails outright")
@@ -414,17 +414,17 @@ func runScenario(ctx context.Context, a scenarioArgs) {
 }
 
 // simulateShards drives the -rounds arrival stream through the
-// region-sharded cluster tier instead of the monolithic batch pipeline.
+// sharded server platform instead of the monolithic batch pipeline.
 // Budget-exhausted rounds (every round under -chaos -chaos-fail 1) are
 // all-or-nothing no-ops: nothing dispatches, no worker is lost, and the
 // next round retries — the rehearsal asserts the registries survive.
 func simulateShards(ctx context.Context, solverName string, m, n int, seed int64, rounds, k int, reg *metrics.Registry, budget time.Duration, chaosCfg *resilience.ChaosConfig, incremental bool) {
 	if chaosCfg != nil && budget <= 0 {
-		fatal(fmt.Errorf("-shards with -chaos needs a -budget (the cluster injects faults into the budgeted ladder)"))
+		fatal(fmt.Errorf("-shards with -chaos needs a -budget (the platform injects faults into the budgeted ladder)"))
 	}
 	p := workload.Default()
 	p.NumWorkers, p.NumTasks = m, n
-	c, err := shard.NewCluster(shard.Config{
+	c, err := server.NewPlatform(server.Config{
 		K: k, B: p.B, Metrics: reg, SolveBudget: budget, Chaos: chaosCfg,
 		Incremental: incremental,
 	})
@@ -447,7 +447,7 @@ func simulateShards(ctx context.Context, solverName string, m, n int, seed int64
 			}
 		}
 		res, err := c.RunBatch(ctx, solverName)
-		if errors.Is(err, shard.ErrBudgetExhausted) {
+		if errors.Is(err, server.ErrBudgetExhausted) {
 			exhausted++
 			continue
 		}

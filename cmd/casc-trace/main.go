@@ -92,7 +92,7 @@ func replayMain(args []string) {
 		expect = fs.String("expect", "", "expected decision trace to compare against (casc-sim -trace); empty: just re-run and summarize")
 		solver = fs.String("solver", "", "dispatch with this solver instead of the recorded one")
 		incr   = fs.Bool("incremental", false, "replay through the persistent incremental engine")
-		shards = fs.Int("shards", 0, "replay through a sharded cluster of this size (0: monolithic)")
+		shards = fs.Int("shards", 0, "replay through a sharded server.Platform of this size (0: monolithic)")
 		cfK    = fs.Int("counterfactual-k", 0, "re-solve this many alternates per round, matching the original run's setting (-1: all); required to reproduce cf: records")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -18,12 +18,12 @@ func newCtxLoop() *Rule {
 			"loops must observe ctx cancellation",
 		// internal/resilience is in scope so ladder rungs and the chaos
 		// decorator can never ignore cancellation in their Solve paths;
-		// internal/shard so cluster-tier Solve paths stay cancellable;
+		// internal/server so the platform round's solve paths stay cancellable;
 		// internal/incremental so the engine's per-component Solve loop
 		// stays reactive under a round budget; internal/scenario so the
 		// counterfactual tracer's per-alternate Solve loop can be aborted
 		// mid-round.
-		Scope: []string{"internal/assign", "internal/resilience", "internal/shard", "internal/incremental", "internal/scenario"},
+		Scope: []string{"internal/assign", "internal/resilience", "internal/server", "internal/incremental", "internal/scenario"},
 		Check: checkCtxLoop,
 	}
 }

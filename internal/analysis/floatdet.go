@@ -30,14 +30,14 @@ func newFloatDet() *Rule {
 		Doc: "float accumulation in map-derived or goroutine order is " +
 			"nondeterministic; sort first or reduce in a fixed order",
 		// Everywhere floats are summed into scores: the solver stack plus
-		// the sharded read path.
+		// the platform's round loop.
 		Scope: []string{
 			"internal/assign",
 			"internal/partition",
 			"internal/model",
 			"internal/coop",
 			"internal/incremental",
-			"internal/shard",
+			"internal/server",
 		},
 		Check: checkFloatDet,
 	}

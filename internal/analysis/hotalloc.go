@@ -30,9 +30,9 @@ func newHotAlloc() *Rule {
 			"bodies; draw from the solver arena or hoist out of the loop",
 		// Same blast radius as ctxloop minus resilience (its decorators'
 		// Solve bodies are error-path plumbing, not per-candidate loops):
-		// the batch solvers, the cluster tier's routing Solve paths, and
+		// the batch solvers, the platform round's per-shard solves, and
 		// the incremental engine's per-round solves.
-		Scope: []string{"internal/assign", "internal/shard", "internal/incremental"},
+		Scope: []string{"internal/assign", "internal/server", "internal/incremental"},
 		Check: checkHotAlloc,
 	}
 }

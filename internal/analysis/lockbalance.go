@@ -24,9 +24,9 @@ func newLockBalance() *Rule {
 		Name: "lockbalance",
 		Doc: "every Lock/RLock on the shard/server/platform mutexes must be " +
 			"matched by an Unlock on all panic-free CFG paths",
-		// The tiers that guard registries with manual Lock/Unlock pairs
-		// (shard keeps several non-deferred fast paths): a leaked lock here
-		// freezes a shard or the whole platform under load.
+		// The packages that guard registries with manual Lock/Unlock pairs
+		// (the round loop locks and unlocks the registry around its solve):
+		// a leaked lock here freezes the whole platform under load.
 		Scope: []string{"internal/shard", "internal/server"},
 		Check: checkLockBalance,
 	}

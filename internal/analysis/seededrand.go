@@ -20,10 +20,11 @@ func newSeededRand() *Rule {
 		Scope: []string{
 			"internal/assign", "internal/partition",
 			"internal/model", "internal/coop",
-			// The sharded tier replays rounds bitwise across shard counts;
-			// ambient clocks or global randomness there would desync the
-			// N-shard-vs-1-shard equivalence the load test asserts.
-			"internal/shard",
+			// The platform replays rounds bitwise across shard counts;
+			// ambient clocks or global randomness in its round loop or its
+			// sharding primitives would desync the N-shard-vs-1-shard
+			// equivalence the load test asserts.
+			"internal/server", "internal/shard",
 			// The incremental engine promises rounds bitwise identical to a
 			// from-scratch solve; ambient nondeterminism anywhere in its
 			// carry/re-solve path would break that equivalence silently.

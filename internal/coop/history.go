@@ -19,11 +19,16 @@ type History struct {
 	n     int
 	alpha float64
 	omega float64
-	sum   map[pairKey]float64
-	count map[pairKey]int
+	pairs map[pairKey]pairStats
 }
 
 type pairKey struct{ lo, hi int }
+
+// pairStats is one pair's rating sum and count.
+type pairStats struct {
+	sum   float64
+	count int
+}
 
 func keyOf(i, k int) pairKey {
 	if i > k {
@@ -46,8 +51,7 @@ func NewHistory(n int, alpha, omega float64) *History {
 		n:     n,
 		alpha: alpha,
 		omega: omega,
-		sum:   make(map[pairKey]float64),
-		count: make(map[pairKey]int),
+		pairs: make(map[pairKey]pairStats),
 	}
 }
 
@@ -62,8 +66,10 @@ func (h *History) Record(i, k int, score float64) {
 	}
 	key := keyOf(i, k)
 	h.mu.Lock()
-	h.sum[key] += score
-	h.count[key]++
+	st := h.pairs[key]
+	st.sum += score
+	st.count++
+	h.pairs[key] = st
 	h.mu.Unlock()
 }
 
@@ -82,7 +88,7 @@ func (h *History) RecordGroup(workers []int, score float64) {
 func (h *History) SharedTasks(i, k int) int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.count[keyOf(i, k)]
+	return h.pairs[keyOf(i, k)].count
 }
 
 // Quality implements Model with Equation 1.
@@ -92,12 +98,11 @@ func (h *History) Quality(i, k int) float64 {
 	}
 	key := keyOf(i, k)
 	h.mu.RLock()
-	c := h.count[key]
-	s := h.sum[key]
+	st := h.pairs[key]
 	h.mu.RUnlock()
 	hist := h.omega // prior when no shared history
-	if c > 0 {
-		hist = s / float64(c)
+	if st.count > 0 {
+		hist = st.sum / float64(st.count)
 	}
 	return h.alpha*h.omega + (1-h.alpha)*hist
 }
@@ -133,9 +138,9 @@ type PairRecord struct {
 func (h *History) Export() []PairRecord {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	out := make([]PairRecord, 0, len(h.count))
-	for key, c := range h.count {
-		out = append(out, PairRecord{I: key.lo, K: key.hi, Sum: h.sum[key], Count: c})
+	out := make([]PairRecord, 0, len(h.pairs))
+	for key, st := range h.pairs {
+		out = append(out, PairRecord{I: key.lo, K: key.hi, Sum: st.sum, Count: st.count})
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].I != out[b].I {
@@ -161,8 +166,10 @@ func (h *History) Import(recs []PairRecord) error {
 	defer h.mu.Unlock()
 	for _, r := range recs {
 		key := keyOf(r.I, r.K)
-		h.sum[key] += r.Sum
-		h.count[key] += r.Count
+		st := h.pairs[key]
+		st.sum += r.Sum
+		st.count += r.Count
+		h.pairs[key] = st
 		if r.K+1 > h.n {
 			h.n = r.K + 1
 		}

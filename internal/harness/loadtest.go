@@ -6,13 +6,13 @@ import (
 	"math"
 	"time"
 
-	"casc/internal/shard"
+	"casc/internal/server"
 	"casc/internal/workload"
 )
 
 // ExpShards is the sharded-platform load test: the same skewed blob
 // workload (workload.GenerateBlobs — contention confined to a hot band of
-// the unit square) driven through shard.Cluster at K ∈ {1, 2, 4, 8},
+// the unit square) driven through server.Platform at K ∈ {1, 2, 4, 8},
 // measuring end-to-end batch-round latency. K = 1 is the monolithic
 // baseline; the committed BENCH_shards.json documents the speedup (and, by
 // the equal per-K scores, the bitwise round equivalence) on one core: the
@@ -51,7 +51,7 @@ func runShards(ctx context.Context, opt Options) (*Series, error) {
 
 func runShardPoint(ctx context.Context, opt Options, params workload.BlobParams, k int) (Point, float64, error) {
 	pt := Point{Label: fmt.Sprintf("%d", k)}
-	c, err := shard.NewCluster(shard.Config{
+	c, err := server.NewPlatform(server.Config{
 		K: k, B: params.B, Metrics: opt.Metrics, SolveBudget: opt.Budget,
 	})
 	if err != nil {
@@ -88,7 +88,7 @@ func runShardPoint(ctx context.Context, opt Options, params workload.BlobParams,
 		res.BatchSeconds += elapsed / float64(opt.Rounds)
 		res.LatencySeconds = append(res.LatencySeconds, elapsed)
 		// Rate every dispatched task so later rounds solve against a
-		// populated cooperation history. The cluster keeps one history, so
+		// populated cooperation history. The platform keeps one history, so
 		// any rating values are K-invariant; 0.5/1.0 keep the committed
 		// baselines bitwise.
 		rated := map[int]bool{}

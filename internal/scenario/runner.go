@@ -11,7 +11,7 @@ import (
 	"casc/internal/metrics"
 	"casc/internal/model"
 	"casc/internal/resilience"
-	"casc/internal/shard"
+	"casc/internal/server"
 	"casc/internal/trace"
 )
 
@@ -35,7 +35,7 @@ type RunConfig struct {
 	Budget      time.Duration
 	Chaos       *resilience.ChaosConfig
 	Incremental bool
-	// Shards, when positive, routes the plan through a sharded cluster of
+	// Shards, when positive, routes the plan through a server.Platform of
 	// that many shards instead of the monolithic batch loop.
 	Shards int
 	// Patience mirrors batch.Config.Patience (monolithic only).
@@ -174,14 +174,14 @@ func runMonolithic(ctx context.Context, cfg RunConfig, solverName string) (*Repo
 	return rep, nil
 }
 
-// runSharded feeds the plan's arrivals into a sharded cluster round by
-// round. Cluster IDs are allocated in registration order, so the runner
-// keeps explicit plan-ID ↔ cluster-ID maps and reports everything —
+// runSharded feeds the plan's arrivals into a server.Platform round by
+// round. Platform IDs are allocated in registration order, so the runner
+// keeps explicit plan-ID ↔ platform-ID maps and reports everything —
 // trace pairs, SLO accounting — in plan IDs.
 func runSharded(ctx context.Context, cfg RunConfig, solverName string) (*Report, error) {
 	plan := cfg.Plan
 	spec := plan.Spec
-	c, err := shard.NewCluster(shard.Config{
+	c, err := server.NewPlatform(server.Config{
 		K: cfg.Shards, B: spec.B, Metrics: cfg.Metrics,
 		SolveBudget: cfg.Budget, Chaos: cfg.Chaos,
 		Incremental: cfg.Incremental,
@@ -190,8 +190,8 @@ func runSharded(ctx context.Context, cfg RunConfig, solverName string) (*Report,
 		return nil, err
 	}
 	slo := newSLOTracker(plan)
-	taskOfCluster := map[int]int{}   // cluster task ID -> plan task ID
-	workerOfCluster := map[int]int{} // cluster worker ID -> plan worker ID
+	taskOfPlatform := map[int]int{}   // platform task ID -> plan task ID
+	workerOfPlatform := map[int]int{} // platform worker ID -> plan worker ID
 	rep := &Report{
 		Scenario: spec.Name,
 		Solver:   solverName,
@@ -204,17 +204,17 @@ func runSharded(ctx context.Context, cfg RunConfig, solverName string) (*Report,
 			if err != nil {
 				return nil, fmt.Errorf("scenario: round %d register worker %d: %w", round, w.ID, err)
 			}
-			workerOfCluster[cid] = w.ID
+			workerOfPlatform[cid] = w.ID
 		}
 		for _, t := range plan.tasksByRound[round] {
 			cid, err := c.PostTask(t.Loc, t.Capacity, t.Deadline)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: round %d post task %d: %w", round, t.ID, err)
 			}
-			taskOfCluster[cid] = t.ID
+			taskOfPlatform[cid] = t.ID
 		}
 		res, err := c.RunBatch(ctx, solverName)
-		if errors.Is(err, shard.ErrBudgetExhausted) {
+		if errors.Is(err, server.ErrBudgetExhausted) {
 			rep.Exhausted++
 			if cfg.Trace != nil {
 				if err := cfg.Trace.Append(trace.Record{
@@ -239,19 +239,19 @@ func runSharded(ctx context.Context, cfg RunConfig, solverName string) (*Report,
 		}
 		rated := map[int]bool{}
 		for _, pr := range res.Pairs {
-			planTask, ok := taskOfCluster[pr.Task]
+			planTask, ok := taskOfPlatform[pr.Task]
 			if !ok {
-				return nil, fmt.Errorf("scenario: round %d dispatched unknown cluster task %d", round, pr.Task)
+				return nil, fmt.Errorf("scenario: round %d dispatched unknown platform task %d", round, pr.Task)
 			}
-			planWorker, ok := workerOfCluster[pr.Worker]
+			planWorker, ok := workerOfPlatform[pr.Worker]
 			if !ok {
-				return nil, fmt.Errorf("scenario: round %d dispatched unknown cluster worker %d", round, pr.Worker)
+				return nil, fmt.Errorf("scenario: round %d dispatched unknown platform worker %d", round, pr.Worker)
 			}
 			rec.Pairs = append(rec.Pairs, model.Pair{Worker: planWorker, Task: planTask})
 			slo.observeDispatch(planTask, round)
 			if !rated[pr.Task] {
 				rated[pr.Task] = true
-				// Deterministic rating keeps the cluster's learned quality
+				// Deterministic rating keeps the platform's learned quality
 				// model — and therefore subsequent rounds — replayable.
 				s := 0.5
 				if planTask%2 == 1 {

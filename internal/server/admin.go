@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -19,10 +20,21 @@ import (
 // history is the platform's most valuable asset; losing it resets every
 // quality estimate to the prior).
 
+// errNoRemovals refuses the admin mutations under Config.Incremental: the
+// persistent engine has no path for an entity that leaves other than by
+// dispatch or expiry.
+var errNoRemovals = errors.New("server: worker updates, worker removals and task cancellations are not supported with incremental rounds")
+
 // UpdateWorker moves an available worker to a new location and optionally
-// changes its speed/radius (pass negative values to keep the current ones).
-// Busy workers (dispatched, not yet rated) cannot be updated.
+// changes its speed/radius (pass negative values to keep the current ones);
+// the router re-homes it. Busy workers (dispatched, not yet rated) cannot
+// be updated. Like every admin mutation, it waits for a running round.
 func (p *Platform) UpdateWorker(id int, loc geo.Point, speed, radius float64) error {
+	if p.inc != nil {
+		return errNoRemovals
+	}
+	p.batchMu.Lock()
+	defer p.batchMu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w, ok := p.workers[id]
@@ -37,18 +49,29 @@ func (p *Platform) UpdateWorker(id int, loc geo.Point, speed, radius float64) er
 		w.Radius = radius
 	}
 	w.Arrive = p.clock()
+	p.shards[w.home].workers--
+	w.home = p.route(loc)
+	p.shards[w.home].workers++
 	p.workers[id] = w
+	p.syncGauges()
 	return nil
 }
 
 // UnregisterWorker removes an available worker from the pool. Busy workers
 // cannot leave until their task is rated.
 func (p *Platform) UnregisterWorker(id int) error {
+	if p.inc != nil {
+		return errNoRemovals
+	}
+	p.batchMu.Lock()
+	defer p.batchMu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.workers[id]; !ok {
+	w, ok := p.workers[id]
+	if !ok {
 		return fmt.Errorf("server: worker %d not available (unknown or busy)", id)
 	}
+	p.shards[w.home].workers--
 	delete(p.workers, id)
 	p.syncGauges()
 	return nil
@@ -56,12 +79,17 @@ func (p *Platform) UnregisterWorker(id int) error {
 
 // CancelTask withdraws an open (not yet dispatched) task.
 func (p *Platform) CancelTask(id int) error {
+	if p.inc != nil {
+		return errNoRemovals
+	}
+	p.batchMu.Lock()
+	defer p.batchMu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.tasks[id]; !ok {
 		return fmt.Errorf("server: task %d not open", id)
 	}
-	delete(p.tasks, id)
+	p.dropTask(id)
 	p.syncGauges()
 	return nil
 }
@@ -123,30 +151,14 @@ func (p *Platform) Snapshot() *Snapshot {
 		TotalScore:   p.totalScore,
 		Batches:      p.batches,
 		DoneTasks:    p.dispatchedTasks,
+		Workers:      p.listWorkers(),
+		Tasks:        p.listTasks(),
 	}
-	for id, w := range p.workers {
-		s.Workers = append(s.Workers, SnapshotWorker{
-			ID: id, X: w.Loc.X, Y: w.Loc.Y, Speed: w.Speed, Radius: w.Radius, Arrive: w.Arrive,
-		})
-	}
-	sort.Slice(s.Workers, func(a, b int) bool { return s.Workers[a].ID < s.Workers[b].ID })
-	for id, t := range p.tasks {
-		s.Tasks = append(s.Tasks, SnapshotTask{
-			ID: id, X: t.Loc.X, Y: t.Loc.Y, Capacity: t.Capacity, Created: t.Created, Deadline: t.Deadline,
-		})
-	}
-	sort.Slice(s.Tasks, func(a, b int) bool { return s.Tasks[a].ID < s.Tasks[b].ID })
 	for taskID, grp := range p.dispatched {
-		if p.rated[taskID] {
-			continue
-		}
 		sg := SnapshotGroup{TaskID: taskID, X: grp.loc.X, Y: grp.loc.Y}
 		for _, w := range grp.workers {
-			sg.Workers = append(sg.Workers, SnapshotWorker{
-				ID: w.ID, X: w.Loc.X, Y: w.Loc.Y, Speed: w.Speed, Radius: w.Radius, Arrive: w.Arrive,
-			})
+			sg.Workers = append(sg.Workers, snapshotWorker(w.Worker))
 		}
-		sort.Slice(sg.Workers, func(a, b int) bool { return sg.Workers[a].ID < sg.Workers[b].ID })
 		s.Dispatched = append(s.Dispatched, sg)
 	}
 	sort.Slice(s.Dispatched, func(a, b int) bool { return s.Dispatched[a].TaskID < s.Dispatched[b].TaskID })
@@ -155,7 +167,9 @@ func (p *Platform) Snapshot() *Snapshot {
 
 // Restore builds a platform from a snapshot. The restored platform uses
 // the default batch-counter clock starting at the snapshot time unless
-// cfg.Clock is provided.
+// cfg.Clock is provided. cfg.K may differ from the snapshotting
+// platform's: the router re-homes every restored entity, and the per-shard
+// dispatch counts and scores start from zero.
 func Restore(s *Snapshot, cfg Config) (*Platform, error) {
 	if s.B < 2 {
 		return nil, fmt.Errorf("server: snapshot B = %d", s.B)
@@ -166,11 +180,10 @@ func Restore(s *Snapshot, cfg Config) (*Platform, error) {
 		return nil, err
 	}
 	if cfg.Clock == nil {
-		// Resume the internal clock at the snapshot time.
-		batch := s.Now
-		p.clock = func() float64 { return batch }
-		p.advance = func() { batch++ }
+		p.startClock(s.Now)
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.nextWorkerID = s.NextWorkerID
 	p.nextTaskID = s.NextTaskID
 	p.totalScore = s.TotalScore
@@ -188,9 +201,10 @@ func Restore(s *Snapshot, cfg Config) (*Platform, error) {
 	// Every worker is either available or in exactly one dispatched group,
 	// and every task is either open or dispatched: a worker listed twice
 	// would later record self cooperation, and an ID at or past the next
-	// one handed out would fall outside the history.
+	// one handed out would fall outside the history. Every entity passes
+	// the same domain checks as one registered or posted through the API.
 	seenW := make(map[int]bool)
-	worker := func(w SnapshotWorker) (model.Worker, error) {
+	restoreWorker := func(w SnapshotWorker) (model.Worker, error) {
 		if w.ID < 0 || w.ID >= s.NextWorkerID {
 			return model.Worker{}, fmt.Errorf("server: snapshot worker %d out of ID range", w.ID)
 		}
@@ -198,12 +212,15 @@ func Restore(s *Snapshot, cfg Config) (*Platform, error) {
 			return model.Worker{}, fmt.Errorf("server: snapshot worker %d listed twice", w.ID)
 		}
 		seenW[w.ID] = true
+		if err := checkWorker(w.Speed, w.Radius); err != nil {
+			return model.Worker{}, fmt.Errorf("snapshot worker %d: %w", w.ID, err)
+		}
 		return model.Worker{
 			ID: w.ID, Loc: geo.Pt(w.X, w.Y), Speed: w.Speed, Radius: w.Radius, Arrive: w.Arrive,
 		}, nil
 	}
 	seenT := make(map[int]bool)
-	task := func(id int) error {
+	claimTask := func(id int) error {
 		if id < 0 || id >= s.NextTaskID {
 			return fmt.Errorf("server: snapshot task %d out of ID range", id)
 		}
@@ -214,34 +231,39 @@ func Restore(s *Snapshot, cfg Config) (*Platform, error) {
 		return nil
 	}
 	for _, sw := range s.Workers {
-		w, err := worker(sw)
+		w, err := restoreWorker(sw)
 		if err != nil {
 			return nil, err
 		}
-		p.workers[w.ID] = w
+		p.addWorker(w)
 	}
 	for _, t := range s.Tasks {
-		if err := task(t.ID); err != nil {
+		if err := claimTask(t.ID); err != nil {
 			return nil, err
 		}
-		p.tasks[t.ID] = model.Task{
-			ID: t.ID, Loc: geo.Pt(t.X, t.Y), Capacity: t.Capacity, Created: t.Created, Deadline: t.Deadline,
+		if err := p.checkTask(t.Capacity); err != nil {
+			return nil, fmt.Errorf("snapshot task %d: %w", t.ID, err)
 		}
+		p.addTask(model.Task{
+			ID: t.ID, Loc: geo.Pt(t.X, t.Y), Capacity: t.Capacity, Created: t.Created, Deadline: t.Deadline,
+		})
 	}
 	for _, g := range s.Dispatched {
-		if err := task(g.TaskID); err != nil {
+		if err := claimTask(g.TaskID); err != nil {
 			return nil, err
 		}
-		grp := dispatchedGroup{loc: geo.Pt(g.X, g.Y)}
+		loc := geo.Pt(g.X, g.Y)
+		grp := dispatchedGroup{loc: loc, owner: p.geom.ShardOf(loc)}
 		for _, sw := range g.Workers {
-			w, err := worker(sw)
+			w, err := restoreWorker(sw)
 			if err != nil {
 				return nil, err
 			}
-			grp.ids = append(grp.ids, w.ID)
-			grp.workers = append(grp.workers, w)
+			grp.workers = append(grp.workers, worker{Worker: w, home: p.geom.ShardOf(w.Loc)})
 		}
+		sort.Slice(grp.workers, func(a, b int) bool { return grp.workers[a].ID < grp.workers[b].ID })
 		p.dispatched[g.TaskID] = grp
+		p.shards[grp.owner].busy += len(grp.workers)
 		p.busyCount += len(grp.workers)
 	}
 	p.syncGauges()
@@ -291,28 +313,40 @@ func LoadSnapshotFile(path string) (*Snapshot, error) {
 func (p *Platform) ListWorkers() []SnapshotWorker {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	out := make([]SnapshotWorker, 0, len(p.workers))
-	for id, w := range p.workers {
-		out = append(out, SnapshotWorker{
-			ID: id, X: w.Loc.X, Y: w.Loc.Y, Speed: w.Speed, Radius: w.Radius, Arrive: w.Arrive,
-		})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
+	return p.listWorkers()
 }
 
 // ListTasks returns the open tasks sorted by ID.
 func (p *Platform) ListTasks() []SnapshotTask {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
+	return p.listTasks()
+}
+
+// listWorkers and listTasks serialize the registry sorted by ID. Callers
+// must hold p.mu.
+func (p *Platform) listWorkers() []SnapshotWorker {
+	out := make([]SnapshotWorker, 0, len(p.workers))
+	for _, w := range p.workers {
+		out = append(out, snapshotWorker(w.Worker))
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	return out
+}
+
+func (p *Platform) listTasks() []SnapshotTask {
 	out := make([]SnapshotTask, 0, len(p.tasks))
-	for id, t := range p.tasks {
+	for _, t := range p.tasks {
 		out = append(out, SnapshotTask{
-			ID: id, X: t.Loc.X, Y: t.Loc.Y, Capacity: t.Capacity, Created: t.Created, Deadline: t.Deadline,
+			ID: t.ID, X: t.Loc.X, Y: t.Loc.Y, Capacity: t.Capacity, Created: t.Created, Deadline: t.Deadline,
 		})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
+}
+
+func snapshotWorker(w model.Worker) SnapshotWorker {
+	return SnapshotWorker{ID: w.ID, X: w.Loc.X, Y: w.Loc.Y, Speed: w.Speed, Radius: w.Radius, Arrive: w.Arrive}
 }
 
 // Admin HTTP endpoints (wired by Handler via registerAdmin):
@@ -323,56 +357,59 @@ func (p *Platform) ListTasks() []SnapshotTask {
 //	DELETE /workers/{id}
 //	DELETE /tasks/{id}
 //	GET    /snapshot                  → full state JSON
+//
+// A mutation of an entity that is not available or open answers 404; any
+// mutation under incremental rounds answers 409.
 func (p *Platform) registerAdmin(mux *http.ServeMux) {
-	Route(p.metrics, mux, "GET /workers", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, map[string]any{"workers": p.ListWorkers()})
+	handle(p.metrics, mux, "GET /workers", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]any{"workers": p.ListWorkers()})
 	})
-	Route(p.metrics, mux, "GET /tasks", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, map[string]any{"tasks": p.ListTasks()})
+	handle(p.metrics, mux, "GET /tasks", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]any{"tasks": p.ListTasks()})
 	})
-	Route(p.metrics, mux, "PUT /workers/{id}", func(w http.ResponseWriter, r *http.Request) {
+	handle(p.metrics, mux, "PUT /workers/{id}", p.admitted(func(w http.ResponseWriter, r *http.Request) {
 		id, err := pathID(r)
 		if err != nil {
-			WriteErr(w, http.StatusBadRequest, err)
+			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
 		var req WorkerRequest
-		if !Decode(w, r, &req) {
+		if !decode(w, r, &req) {
 			return
 		}
-		if err := p.UpdateWorker(id, geo.Pt(req.X, req.Y), req.Speed, req.Radius); err != nil {
-			WriteErr(w, http.StatusNotFound, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, map[string]string{})
-	})
-	Route(p.metrics, mux, "DELETE /workers/{id}", func(w http.ResponseWriter, r *http.Request) {
+		adminReply(w, p.UpdateWorker(id, geo.Pt(req.X, req.Y), req.Speed, req.Radius))
+	}))
+	handle(p.metrics, mux, "DELETE /workers/{id}", p.admitted(func(w http.ResponseWriter, r *http.Request) {
 		id, err := pathID(r)
 		if err != nil {
-			WriteErr(w, http.StatusBadRequest, err)
+			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := p.UnregisterWorker(id); err != nil {
-			WriteErr(w, http.StatusNotFound, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, map[string]string{})
-	})
-	Route(p.metrics, mux, "DELETE /tasks/{id}", func(w http.ResponseWriter, r *http.Request) {
+		adminReply(w, p.UnregisterWorker(id))
+	}))
+	handle(p.metrics, mux, "DELETE /tasks/{id}", p.admitted(func(w http.ResponseWriter, r *http.Request) {
 		id, err := pathID(r)
 		if err != nil {
-			WriteErr(w, http.StatusBadRequest, err)
+			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := p.CancelTask(id); err != nil {
-			WriteErr(w, http.StatusNotFound, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, map[string]string{})
+		adminReply(w, p.CancelTask(id))
+	}))
+	handle(p.metrics, mux, "GET /snapshot", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, p.Snapshot())
 	})
-	Route(p.metrics, mux, "GET /snapshot", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, p.Snapshot())
-	})
+}
+
+// adminReply writes an admin mutation's outcome.
+func adminReply(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, errNoRemovals):
+		writeErr(w, http.StatusConflict, err)
+	case err != nil:
+		writeErr(w, http.StatusNotFound, err)
+	default:
+		writeJSON(w, http.StatusOK, map[string]string{})
+	}
 }
 
 func pathID(r *http.Request) (int, error) {

@@ -12,6 +12,7 @@ import (
 
 	"casc/internal/geo"
 	"casc/internal/metrics"
+	"casc/internal/shard"
 )
 
 // HTTP-layer metric names. Every route registered on the platform mux is
@@ -29,21 +30,28 @@ const (
 //	POST /batch     {"solver":"GT+ALL"}                           → batch result
 //	POST /ratings   {"task_id":0,"score":0.9}                     → {}
 //	GET  /quality?i=0&k=1                                         → {"quality":0.5}
+//	GET  /recommend?worker=0&limit=10                             → ranked tasks
 //	GET  /status                                                  → snapshot
+//	GET  /shards                                                  → per-shard snapshots
 //	GET  /metrics                                                 → Prometheus text
 //
-// With Config.EnablePprof, net/http/pprof is mounted under /debug/pprof/.
-// Errors are returned as {"error": "..."} with a 4xx status.
+// plus the admin routes of registerAdmin. With Config.EnablePprof,
+// net/http/pprof is mounted under /debug/pprof/. Errors are returned as
+// {"error": "..."} with a 4xx or 5xx status. With admission control
+// configured, every mutating request passes the token bucket first and a
+// shed one gets 503 with a Retry-After header — the same contract budget
+// exhaustion uses, so clients implement one backoff path for both.
 func (p *Platform) Handler() http.Handler {
 	mux := http.NewServeMux()
-	Route(p.metrics, mux, "POST /workers", p.handleRegisterWorker)
-	Route(p.metrics, mux, "POST /tasks", p.handlePostTask)
-	Route(p.metrics, mux, "POST /batch", p.handleBatch)
-	Route(p.metrics, mux, "POST /ratings", p.handleRate)
-	Route(p.metrics, mux, "GET /quality", p.handleQuality)
-	Route(p.metrics, mux, "GET /recommend", p.handleRecommend)
-	Route(p.metrics, mux, "GET /status", p.handleStatus)
-	Route(p.metrics, mux, "GET /metrics", p.metrics.Handler().ServeHTTP)
+	handle(p.metrics, mux, "POST /workers", p.admitted(p.handleRegisterWorker))
+	handle(p.metrics, mux, "POST /tasks", p.admitted(p.handlePostTask))
+	handle(p.metrics, mux, "POST /batch", p.admitted(p.handleBatch))
+	handle(p.metrics, mux, "POST /ratings", p.admitted(p.handleRate))
+	handle(p.metrics, mux, "GET /quality", p.handleQuality)
+	handle(p.metrics, mux, "GET /recommend", p.handleRecommend)
+	handle(p.metrics, mux, "GET /status", p.handleStatus)
+	handle(p.metrics, mux, "GET /shards", p.handleShards)
+	handle(p.metrics, mux, "GET /metrics", p.metrics.Handler().ServeHTTP)
 	p.registerAdmin(mux)
 	if p.pprof {
 		// pprof.Index routes /debug/pprof/{heap,goroutine,...} itself.
@@ -56,22 +64,39 @@ func (p *Platform) Handler() http.Handler {
 	return mux
 }
 
-// Route registers pattern on mux with request counting and latency
+// handle registers pattern on mux with request counting and latency
 // recording into reg. The route label is the registration pattern, not the
 // raw URL, so cardinality stays bounded no matter what clients request.
-// Both the platform and the sharded cluster register every route with it.
-func Route(reg *metrics.Registry, mux *http.ServeMux, pattern string, h http.HandlerFunc) {
+func handle(reg *metrics.Registry, mux *http.ServeMux, pattern string, h http.HandlerFunc) {
 	routeLbl := metrics.L("route", pattern)
 	lat := reg.Histogram(MetricHTTPRequestSeconds, "HTTP request latency in seconds.",
 		metrics.LatencyBuckets(), routeLbl)
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
+		start := now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
-		lat.Observe(time.Since(start).Seconds())
+		lat.Observe(now().Sub(start).Seconds())
 		reg.Counter(MetricHTTPRequests, "HTTP requests by route and status code.",
 			routeLbl, metrics.L("code", strconv.Itoa(sw.code))).Inc()
 	})
+}
+
+// admitted wraps a mutating handler with token-bucket admission control.
+func (p *Platform) admitted(h http.HandlerFunc) http.HandlerFunc {
+	if p.admission == nil {
+		return h
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		if err := p.admission.Admit(); err != nil {
+			var shed *shard.ErrAdmission
+			if errors.As(err, &shed) {
+				w.Header().Set("Retry-After", retryAfter(shed.RetryAfter))
+			}
+			writeErr(w, http.StatusServiceUnavailable, err)
+			return
+		}
+		h(w, r)
+	}
 }
 
 // statusWriter captures the response status code for the request counter.
@@ -85,26 +110,26 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// WriteJSON writes v as a JSON reply with the given status.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON writes v as a JSON reply with the given status.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// WriteErr writes the {"error": ...} reply every API error uses.
-func WriteErr(w http.ResponseWriter, status int, err error) {
-	WriteJSON(w, status, map[string]string{"error": err.Error()})
+// writeErr writes the {"error": ...} reply every API error uses.
+func writeErr(w http.ResponseWriter, status int, err error) {
+	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// MaxRequestBytes caps every JSON request body the platform and the
-// cluster decode. The largest request DTO is under 200 bytes.
+// MaxRequestBytes caps every JSON request body the platform decodes. The
+// largest request DTO is under 200 bytes.
 const MaxRequestBytes = 64 << 10
 
-// Decode reads the JSON request body into v, capped at MaxRequestBytes. On
+// decode reads the JSON request body into v, capped at MaxRequestBytes. On
 // failure it writes the error reply — 413 past the cap, 400 otherwise — and
 // returns false.
-func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -113,15 +138,15 @@ func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		WriteErr(w, status, fmt.Errorf("bad request body: %w", err))
+		writeErr(w, status, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
 }
 
-// RetryAfter renders d as a Retry-After value in whole seconds, rounded up
+// retryAfter renders d as a Retry-After value in whole seconds, rounded up
 // (minimum 1) so the advertised wait is never shorter than the real one.
-func RetryAfter(d time.Duration) string {
+func retryAfter(d time.Duration) string {
 	s := int64(d / time.Second)
 	if d%time.Second != 0 || s == 0 {
 		s++
@@ -139,15 +164,15 @@ type WorkerRequest struct {
 
 func (p *Platform) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	var req WorkerRequest
-	if !Decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	id, err := p.RegisterWorker(geo.Pt(req.X, req.Y), req.Speed, req.Radius)
 	if err != nil {
-		WriteErr(w, http.StatusBadRequest, err)
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	WriteJSON(w, http.StatusCreated, map[string]int{"id": id})
+	writeJSON(w, http.StatusCreated, map[string]int{"id": id})
 }
 
 // TaskRequest is the POST /tasks body.
@@ -160,15 +185,15 @@ type TaskRequest struct {
 
 func (p *Platform) handlePostTask(w http.ResponseWriter, r *http.Request) {
 	var req TaskRequest
-	if !Decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	id, err := p.PostTask(geo.Pt(req.X, req.Y), req.Capacity, req.Deadline)
 	if err != nil {
-		WriteErr(w, http.StatusBadRequest, err)
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	WriteJSON(w, http.StatusCreated, map[string]int{"id": id})
+	writeJSON(w, http.StatusCreated, map[string]int{"id": id})
 }
 
 // BatchRequest is the POST /batch body.
@@ -178,11 +203,14 @@ type BatchRequest struct {
 
 // BatchResponse is the POST /batch reply.
 type BatchResponse struct {
-	Pairs           []PairJSON `json:"pairs"`
-	Score           float64    `json:"score"`
-	Upper           float64    `json:"upper"`
-	DispatchedTasks int        `json:"dispatched_tasks"`
-	ExpiredTasks    int        `json:"expired_tasks"`
+	Pairs            []PairJSON `json:"pairs"`
+	Score            float64    `json:"score"`
+	Upper            float64    `json:"upper"`
+	DispatchedTasks  int        `json:"dispatched_tasks"`
+	ExpiredTasks     int        `json:"expired_tasks"`
+	Components       int        `json:"components"`
+	BorderComponents int        `json:"border_components"`
+	GhostWorkers     int        `json:"ghost_workers"`
 }
 
 // PairJSON is one dispatched worker-and-task pair.
@@ -193,7 +221,7 @@ type PairJSON struct {
 
 func (p *Platform) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !Decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.Solver == "" {
@@ -201,7 +229,7 @@ func (p *Platform) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 	if p.solveBudget > 0 {
-		// Per-request solve deadline: bounds time queued for the platform
+		// Per-request solve deadline: bounds time queued for the round
 		// lock plus the solve itself.
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.solveBudget)
@@ -211,25 +239,28 @@ func (p *Platform) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if errors.Is(err, ErrBudgetExhausted) {
 		// Degraded, not broken: tell clients when a retry is worth it —
 		// one full budget from now.
-		w.Header().Set("Retry-After", RetryAfter(p.solveBudget))
-		WriteErr(w, http.StatusServiceUnavailable, err)
+		w.Header().Set("Retry-After", retryAfter(p.solveBudget))
+		writeErr(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	if err != nil {
-		WriteErr(w, http.StatusBadRequest, err)
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	resp := BatchResponse{
-		Score:           res.Score,
-		Upper:           res.Upper,
-		DispatchedTasks: res.DispatchedTasks,
-		ExpiredTasks:    res.ExpiredTasks,
-		Pairs:           []PairJSON{},
+		Score:            res.Score,
+		Upper:            res.Upper,
+		DispatchedTasks:  res.DispatchedTasks,
+		ExpiredTasks:     res.ExpiredTasks,
+		Components:       res.Components,
+		BorderComponents: res.BorderComponents,
+		GhostWorkers:     res.GhostWorkers,
+		Pairs:            make([]PairJSON, 0, len(res.Pairs)),
 	}
 	for _, pr := range res.Pairs {
 		resp.Pairs = append(resp.Pairs, PairJSON{Worker: pr.Worker, Task: pr.Task})
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // RatingRequest is the POST /ratings body.
@@ -240,31 +271,35 @@ type RatingRequest struct {
 
 func (p *Platform) handleRate(w http.ResponseWriter, r *http.Request) {
 	var req RatingRequest
-	if !Decode(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	if err := p.RateTask(req.TaskID, req.Score); err != nil {
-		WriteErr(w, http.StatusConflict, err)
+		writeErr(w, http.StatusConflict, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, map[string]string{})
+	writeJSON(w, http.StatusOK, map[string]string{})
 }
 
 func (p *Platform) handleQuality(w http.ResponseWriter, r *http.Request) {
 	i, err1 := strconv.Atoi(r.URL.Query().Get("i"))
 	k, err2 := strconv.Atoi(r.URL.Query().Get("k"))
 	if err1 != nil || err2 != nil {
-		WriteErr(w, http.StatusBadRequest, fmt.Errorf("quality needs integer i and k params"))
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("quality needs integer i and k params"))
 		return
 	}
 	q, err := p.Quality(i, k)
 	if err != nil {
-		WriteErr(w, http.StatusBadRequest, err)
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, map[string]float64{"quality": q})
+	writeJSON(w, http.StatusOK, map[string]float64{"quality": q})
 }
 
 func (p *Platform) handleStatus(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, p.Status())
+	writeJSON(w, http.StatusOK, p.Status())
+}
+
+func (p *Platform) handleShards(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, p.Status().PerShard)
 }

@@ -40,16 +40,16 @@ func (p *Platform) Recommend(workerID int, limit int) ([]Recommendation, error) 
 	if limit <= 0 {
 		limit = 10
 	}
-	now := p.clock()
+	nowT := p.clock()
 	var out []Recommendation
 	for taskID, t := range p.tasks {
-		if !model.Valid(w, t, now) {
+		if !model.Valid(w.Worker, t.Task, nowT) {
 			continue
 		}
 		// Provisional group: the B−1 best co-candidates for this task.
 		var qs []float64
 		for otherID, other := range p.workers {
-			if otherID == workerID || !model.Valid(other, t, now) {
+			if otherID == workerID || !model.Valid(other.Worker, t.Task, nowT) {
 				continue
 			}
 			qs = append(qs, p.history.Quality(workerID, otherID))
@@ -89,23 +89,23 @@ func (p *Platform) Recommend(workerID int, limit int) ([]Recommendation, error) 
 func (p *Platform) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.URL.Query().Get("worker"))
 	if err != nil {
-		WriteErr(w, http.StatusBadRequest, fmt.Errorf("recommend needs an integer worker param"))
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("recommend needs an integer worker param"))
 		return
 	}
 	limit := 10
 	if ls := r.URL.Query().Get("limit"); ls != "" {
 		if limit, err = strconv.Atoi(ls); err != nil || limit < 1 {
-			WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", ls))
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", ls))
 			return
 		}
 	}
 	recs, err := p.Recommend(id, limit)
 	if err != nil {
-		WriteErr(w, http.StatusNotFound, err)
+		writeErr(w, http.StatusNotFound, err)
 		return
 	}
 	if recs == nil {
 		recs = []Recommendation{}
 	}
-	WriteJSON(w, http.StatusOK, map[string]any{"recommendations": recs})
+	writeJSON(w, http.StatusOK, map[string]any{"recommendations": recs})
 }

@@ -20,7 +20,7 @@ const (
 // how long until the bucket next has a token; the HTTP layer maps the error
 // to 503 Service Unavailable with a Retry-After header, composing with the
 // resilience ladder's budget-exhaustion shedding: admission rejects work
-// the cluster should not even start, the ladder bounds work it did start.
+// the platform should not even start, the ladder bounds work it did start.
 type ErrAdmission struct {
 	RetryAfter time.Duration
 }

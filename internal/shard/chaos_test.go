@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"context"
@@ -11,6 +11,7 @@ import (
 
 	"casc/internal/geo"
 	"casc/internal/resilience"
+	"casc/internal/server"
 )
 
 // chaosSeeds mirrors the resilience suite's convention: a fixed seed set,
@@ -28,7 +29,7 @@ func chaosSeeds(t *testing.T) []int64 {
 	return seeds
 }
 
-// TestClusterChaosRounds drives a 4-shard cluster through batch rounds
+// TestClusterChaosRounds drives a 4-shard platform through batch rounds
 // with fault injection on every ladder rung. Rounds either complete with a
 // consistent dispatch or fail all-or-nothing with ErrBudgetExhausted;
 // either way the registries stay balanced (every worker is available or
@@ -37,7 +38,7 @@ func TestClusterChaosRounds(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
-			c := newTestCluster(t, 4, func(cfg *Config) {
+			c := newTestCluster(t, 4, func(cfg *server.Config) {
 				cfg.SolveBudget = 2 * time.Second
 				cfg.Chaos = &resilience.ChaosConfig{
 					Seed:         seed,
@@ -47,19 +48,20 @@ func TestClusterChaosRounds(t *testing.T) {
 				}
 			})
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 40; i++ {
+			const workers = 40
+			for i := 0; i < workers; i++ {
 				if _, err := c.RegisterWorker(geo.Pt(rng.Float64(), rng.Float64()), 0.05, 0.15); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for round := 0; round < 4; round++ {
 				for j := 0; j < 8; j++ {
-					if _, err := c.PostTask(geo.Pt(rng.Float64(), rng.Float64()), 3, c.clock()+3); err != nil {
+					if _, err := c.PostTask(geo.Pt(rng.Float64(), rng.Float64()), 3, c.Now()+3); err != nil {
 						t.Fatal(err)
 					}
 				}
 				res, err := c.RunBatch(context.Background(), "GT")
-				if errors.Is(err, ErrBudgetExhausted) {
+				if errors.Is(err, server.ErrBudgetExhausted) {
 					// Every rung of some shard's ladder was killed by the
 					// injected faults: an all-or-nothing no-op round.
 					continue
@@ -78,9 +80,9 @@ func TestClusterChaosRounds(t *testing.T) {
 					}
 				}
 				st := c.Status()
-				if got := st.AvailableWorkers + st.BusyWorkers; got != int(c.nextWorkerID.Load()) {
+				if got := st.AvailableWorkers + st.BusyWorkers; got != workers {
 					t.Fatalf("seed %d round %d: %d workers accounted, want %d",
-						seed, round, got, c.nextWorkerID.Load())
+						seed, round, got, workers)
 				}
 			}
 		})
@@ -91,7 +93,7 @@ func TestClusterChaosRounds(t *testing.T) {
 // round fails closed: ErrBudgetExhausted, nothing dispatched, registries
 // untouched.
 func TestClusterBudgetExhaustion(t *testing.T) {
-	c := newTestCluster(t, 2, func(cfg *Config) {
+	c := newTestCluster(t, 2, func(cfg *server.Config) {
 		cfg.SolveBudget = time.Nanosecond
 	})
 	rng := rand.New(rand.NewSource(9))
@@ -109,7 +111,7 @@ func TestClusterBudgetExhaustion(t *testing.T) {
 	defer cancel()
 	time.Sleep(time.Millisecond)
 	_, err := c.RunBatch(ctx, "GT")
-	if !errors.Is(err, ErrBudgetExhausted) {
+	if !errors.Is(err, server.ErrBudgetExhausted) {
 		t.Fatalf("RunBatch with expired deadline: %v, want ErrBudgetExhausted", err)
 	}
 	st := c.Status()

@@ -1,4 +1,9 @@
-package shard
+// The tests of this file and of http_test.go, chaos_test.go and
+// incremental_test.go drive server.Platform with K > 1 shards: the
+// properties they check — K-invariance, pinning, ghosts and handoffs,
+// admission — are what this package's Geometry, Policies and TokenBucket
+// give the platform.
+package shard_test
 
 import (
 	"context"
@@ -6,25 +11,45 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"casc/internal/geo"
+	"casc/internal/metrics"
 	"casc/internal/model"
 	"casc/internal/resilience"
+	"casc/internal/server"
 )
 
-// newTestCluster builds a K-shard cluster with test-friendly defaults.
-func newTestCluster(t *testing.T, k int, opts ...func(*Config)) *Cluster {
+// newTestCluster builds a K-shard platform with test-friendly defaults.
+func newTestCluster(t *testing.T, k int, opts ...func(*server.Config)) *server.Platform {
 	t.Helper()
-	cfg := Config{K: k, B: 3, Alpha: 0.5, Omega: 0.5}
+	cfg := server.Config{K: k, B: 3, Alpha: 0.5, Omega: 0.5}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	c, err := NewCluster(cfg)
+	c, err := server.NewPlatform(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// shardLoad is shard s's registered-entity count, the least-loaded
+// router's signal.
+func shardLoad(c *server.Platform, s int) int {
+	st := c.Status().PerShard[s]
+	return st.AvailableWorkers + st.OpenTasks
+}
+
+// counter reads a counter series from the platform's registry.
+func counter(t *testing.T, c *server.Platform, name string, labels ...metrics.Label) uint64 {
+	t.Helper()
+	v, ok := c.Metrics().Snapshot().Counter(name, labels...)
+	if !ok {
+		t.Fatalf("no counter %s%v", name, labels)
+	}
+	return v
 }
 
 // roundTrace is one round's observable outcome, compared across shard
@@ -37,10 +62,10 @@ type roundTrace struct {
 }
 
 // driveCluster runs the same seeded multi-round workload against a
-// K-shard cluster and returns the per-round traces plus the final quality
+// K-shard platform and returns the per-round traces plus the final quality
 // estimate of every worker pair. Ratings are not dyadic (0.03 + (task mod
 // 10)/10), so a pair's history sum depends on the order its ratings were
-// added: the cluster's one history must add them in rating-call order for
+// added: the platform's one history must add them in rating-call order for
 // every K.
 func driveCluster(t *testing.T, k int, seed int64, solver string) ([]roundTrace, []uint64) {
 	t.Helper()
@@ -55,7 +80,7 @@ func driveCluster(t *testing.T, k int, seed int64, solver string) ([]roundTrace,
 	var traces []roundTrace
 	for round := 0; round < 8; round++ {
 		for j := 0; j < 15; j++ {
-			_, err := c.PostTask(geo.Pt(rng.Float64(), rng.Float64()), 3+rng.Intn(3), c.clock()+2.5)
+			_, err := c.PostTask(geo.Pt(rng.Float64(), rng.Float64()), 3+rng.Intn(3), c.Now()+2.5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,14 +123,14 @@ func driveCluster(t *testing.T, k int, seed int64, solver string) ([]roundTrace,
 }
 
 // TestShardCountInvariance is the subsystem's core guarantee: for the
-// decomposition-invariant solver family, an N-shard cluster commits
-// bitwise-identical rounds to a 1-shard (monolithic) cluster on the same
+// decomposition-invariant solver family, an N-shard platform commits
+// bitwise-identical rounds to a 1-shard (monolithic) platform on the same
 // seed — same pairs, same scores, same upper bounds, same resulting
 // quality estimates. The workload rates tasks between rounds, so later
 // rounds exercise the history-backed quality model whose exact ties are
 // the hardest part of the guarantee.
 func TestShardCountInvariance(t *testing.T) {
-	for _, solver := range []string{"GT", "TPG", "GT+LUB"} {
+	for _, solver := range []string{"GT", "TPG", "GT+LUB", "GT+ALL"} {
 		for _, seed := range []int64{1, 42, 2019} {
 			base, baseQ := driveCluster(t, 1, seed, solver)
 			dispatched := 0
@@ -130,13 +155,16 @@ func TestShardCountInvariance(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(Config{K: 1, B: 1}); err == nil {
+	if _, err := server.NewPlatform(server.Config{K: 1, B: 1}); err == nil {
 		t.Error("B=1 accepted")
 	}
-	if _, err := NewCluster(Config{K: 0, B: 3}); err == nil {
-		t.Error("K=0 accepted")
+	if _, err := server.NewPlatform(server.Config{K: -1, B: 3}); err == nil {
+		t.Error("K=-1 accepted")
 	}
-	if _, err := NewCluster(Config{K: 2, B: 3, Chaos: &resilience.ChaosConfig{Seed: 1}}); err == nil {
+	if c, err := server.NewPlatform(server.Config{K: 0, B: 3}); err != nil || c.Status().Shards != 1 {
+		t.Errorf("K=0: %v, want one shard", err)
+	}
+	if _, err := server.NewPlatform(server.Config{K: 2, B: 3, Chaos: &resilience.ChaosConfig{Seed: 1}}); err == nil {
 		t.Error("chaos without a solve budget accepted")
 	}
 	c := newTestCluster(t, 2)
@@ -171,10 +199,10 @@ func TestRegionRoutingAndHandoff(t *testing.T) {
 	low, _ := c.RegisterWorker(geo.Pt(0.5, 0.45), 0.05, 0.2)
 	high1, _ := c.RegisterWorker(geo.Pt(0.5, 0.55), 0.05, 0.2)
 	high2, _ := c.RegisterWorker(geo.Pt(0.52, 0.56), 0.05, 0.2)
-	if got := c.shards[0].load(); got != 1 {
+	if got := shardLoad(c, 0); got != 1 {
 		t.Fatalf("shard 0 load = %d, want 1 (worker %d)", got, low)
 	}
-	if got := c.shards[1].load(); got != 2 {
+	if got := shardLoad(c, 1); got != 2 {
 		t.Fatalf("shard 1 load = %d, want 2 (workers %d,%d)", got, high1, high2)
 	}
 	taskID, err := c.PostTask(geo.Pt(0.5, 0.52), 3, 10)
@@ -202,10 +230,10 @@ func TestRegionRoutingAndHandoff(t *testing.T) {
 	if err := c.RateTask(taskID, 1.0); err == nil {
 		t.Error("double rating accepted")
 	}
-	if got := c.shards[1].load(); got != 3 {
+	if got := shardLoad(c, 1); got != 3 {
 		t.Errorf("shard 1 load after rating = %d, want 3", got)
 	}
-	if got := c.shards[1].sm.handoffs.Value(); got != 1 {
+	if got := counter(t, c, server.MetricShardHandoffs, metrics.L("shard", "1")); got != 1 {
 		t.Errorf("handoffs = %d, want 1", got)
 	}
 	q, err := c.Quality(low, high1)
@@ -245,7 +273,7 @@ func TestClusterExpiry(t *testing.T) {
 
 // TestClusterConcurrentHammer drives registrations, posts, reads, batch
 // rounds and ratings from many goroutines at once; run under -race it is
-// the shard tier's synchronization audit. Raters rate every task the
+// the sharded platform's synchronization audit. Raters rate every task the
 // batchers dispatch, so ratings (batchMu, then shard.mu) contend with
 // rounds over the shared history.
 func TestClusterConcurrentHammer(t *testing.T) {
@@ -257,6 +285,7 @@ func TestClusterConcurrentHammer(t *testing.T) {
 		raters   = 2
 	)
 	var wg sync.WaitGroup
+	var registered atomic.Int64
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -264,9 +293,9 @@ func TestClusterConcurrentHammer(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < perG; i++ {
 				if rng.Intn(3) == 0 {
-					_, _ = c.PostTask(geo.Pt(rng.Float64(), rng.Float64()), 3, c.clock()+5)
-				} else {
-					_, _ = c.RegisterWorker(geo.Pt(rng.Float64(), rng.Float64()), 0.05, 0.1)
+					_, _ = c.PostTask(geo.Pt(rng.Float64(), rng.Float64()), 3, c.Now()+5)
+				} else if _, err := c.RegisterWorker(geo.Pt(rng.Float64(), rng.Float64()), 0.05, 0.1); err == nil {
+					registered.Add(1)
 				}
 				_ = c.Status()
 				_, _ = c.Quality(0, 1+i%7)
@@ -280,20 +309,22 @@ func TestClusterConcurrentHammer(t *testing.T) {
 		batchWG.Add(1)
 		go func() {
 			defer batchWG.Done()
-			for {
+			// Every batcher runs one last round after the writers finish, so
+			// some round sees the whole population however fast they were.
+			for last := false; !last; {
 				select {
 				case <-done:
-					return
+					last = true
 				default:
-					res, err := c.RunBatch(context.Background(), "GT")
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					for i, p := range res.Pairs {
-						if i == 0 || res.Pairs[i-1].Task != p.Task {
-							toRate <- p.Task
-						}
+				}
+				res, err := c.RunBatch(context.Background(), "GT")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, p := range res.Pairs {
+					if i == 0 || res.Pairs[i-1].Task != p.Task {
+						toRate <- p.Task
 					}
 				}
 			}
@@ -320,7 +351,7 @@ func TestClusterConcurrentHammer(t *testing.T) {
 		t.Fatal("no round dispatched anything; the raters were idle")
 	}
 	total := st.AvailableWorkers + st.BusyWorkers
-	if want := int(c.nextWorkerID.Load()); total != want {
+	if want := int(registered.Load()); total != want {
 		t.Errorf("workers accounted = %d, want %d", total, want)
 	}
 	if st.BusyWorkers != 0 {

@@ -1,18 +1,9 @@
-// Package shard partitions the CA-SC platform into K spatial shards, each
-// owning its own worker/task registries and metric namespace over one
-// cluster-wide cooperation history, fronted by a pluggable Router and
-// token-bucket admission control. Batch rounds stay globally coordinated:
-// every round gathers one world-wide instance, decomposes it into the
-// connected components of its validity graph (package partition), pins
-// each component to the shard that owns its lowest cell — components
-// crossing a boundary are "border" components and ride the ghost/handoff
-// protocol — and lets every shard solve its pinned region concurrently.
-// Because the paper's objective is additive over components and the
-// solvers are decomposition-invariant for their deterministic family (TPG,
-// GT, GT+LUB, EXACT), a 1-shard run is bitwise-equal to an N-shard run on
-// the same seed and rating stream, while the per-shard solves dodge the
-// monolithic superlinear costs (TPG's stage-one task scan, GT's
-// full-population round sweeps).
+// Package shard holds the spatial-sharding primitives of server.Platform:
+// the Geometry that cuts the unit square into cells and assigns each cell
+// to one of K shards, the routing Policies that give every new worker and
+// task a home shard, and the TokenBucket admission controller that sheds
+// mutating requests under load. It is a leaf: the platform, its round loop
+// and its HTTP surface live in package server.
 package shard
 
 import (

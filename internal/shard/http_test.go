@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"encoding/json"
@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"casc/internal/server"
+	"casc/internal/shard"
 )
 
 func postJSON(t *testing.T, srv *httptest.Server, path, body string) (*http.Response, map[string]any) {
@@ -29,7 +30,7 @@ func postJSON(t *testing.T, srv *httptest.Server, path, body string) (*http.Resp
 }
 
 // TestHTTPEndToEnd drives the full wire protocol against a 4-shard
-// cluster: register, post, batch, rate, quality, status, shards, metrics.
+// platform: register, post, batch, rate, quality, status, shards, metrics.
 func TestHTTPEndToEnd(t *testing.T) {
 	c := newTestCluster(t, 4)
 	srv := httptest.NewServer(c.Handler())
@@ -83,7 +84,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var perShard []ShardStatus
+	var perShard []server.ShardStatus
 	_ = json.NewDecoder(sresp.Body).Decode(&perShard)
 	sresp.Body.Close()
 	if len(perShard) != 4 {
@@ -100,7 +101,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, series := range []string{
-		MetricShardWorkers, MetricShardHandoffs, MetricClusterBatches, MetricClusterScore,
+		server.MetricShardWorkers, server.MetricShardHandoffs, server.MetricBatches, server.MetricTotalScore,
 	} {
 		if !strings.Contains(string(body), series) {
 			t.Errorf("GET /metrics missing %s", series)
@@ -115,8 +116,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 // one-token bucket the second mutating request in the same instant is shed
 // with a whole-second Retry-After hint, and read endpoints stay open.
 func TestHTTPAdmissionShedding(t *testing.T) {
-	advance := withFakeClock(t)
-	c := newTestCluster(t, 2, func(cfg *Config) {
+	advance := shard.WithFakeClock(t)
+	c := newTestCluster(t, 2, func(cfg *server.Config) {
 		cfg.AdmissionRate = 0.5
 		cfg.AdmissionBurst = 1
 	})
@@ -146,7 +147,7 @@ func TestHTTPAdmissionShedding(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Errorf("request after Retry-After still shed: %d", resp.StatusCode)
 	}
-	if c.admission.shed.Value() == 0 {
+	if counter(t, c, shard.MetricAdmissionShed) == 0 {
 		t.Error("casc_admission_shed_total not incremented")
 	}
 }

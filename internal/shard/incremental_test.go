@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"context"
@@ -10,6 +10,7 @@ import (
 
 	"casc/internal/geo"
 	"casc/internal/model"
+	"casc/internal/server"
 )
 
 // incRoundTrace is one round's full observable outcome, compared between
@@ -29,11 +30,12 @@ type incRoundTrace struct {
 // posts every round, mixed deadlines so some tasks expire undispatched,
 // and ratings that re-home dispatched workers — and returns per-round
 // traces plus final quality samples.
-func driveIncremental(t *testing.T, seed int64, solver string, opts ...func(*Config)) ([]incRoundTrace, []uint64) {
+func driveIncremental(t *testing.T, seed int64, solver string, opts ...func(*server.Config)) ([]incRoundTrace, []uint64) {
 	t.Helper()
 	c := newTestCluster(t, 4, opts...)
 	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < 70; i++ {
+	const n = 70
+	for i := 0; i < n; i++ {
 		if _, err := c.RegisterWorker(geo.Pt(rng.Float64(), rng.Float64()), 0.05, 0.15); err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +49,7 @@ func driveIncremental(t *testing.T, seed int64, solver string, opts ...func(*Con
 			if j%2 == 0 {
 				horizon = 4.5
 			}
-			if _, err := c.PostTask(geo.Pt(rng.Float64(), rng.Float64()), 3+rng.Intn(3), c.clock()+horizon); err != nil {
+			if _, err := c.PostTask(geo.Pt(rng.Float64(), rng.Float64()), 3+rng.Intn(3), c.Now()+horizon); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -80,7 +82,6 @@ func driveIncremental(t *testing.T, seed int64, solver string, opts ...func(*Con
 		}
 	}
 	var qs []uint64
-	n := int(c.nextWorkerID.Load())
 	for i := 0; i < 12; i++ {
 		a, b := (i*7)%n, (i*13+1)%n
 		if a == b {
@@ -95,10 +96,10 @@ func driveIncremental(t *testing.T, seed int64, solver string, opts ...func(*Con
 	return traces, qs
 }
 
-// TestIncrementalClusterMatchesSnapshot is the shard tier's incremental
-// guarantee: a cluster maintaining its candidate graph in the persistent
-// engine commits bitwise-identical rounds to one rebuilding it from shard
-// snapshots — same pairs, scores, uppers, expiry counts, components, and
+// TestIncrementalClusterMatchesSnapshot is the sharded platform's
+// incremental guarantee: a platform maintaining its candidate graph in the
+// persistent engine commits bitwise-identical rounds to one rebuilding it
+// from registry snapshots — same pairs, scores, uppers, expiry counts, components, and
 // final quality estimates — under churn, expiry, and rating re-homes.
 func TestIncrementalClusterMatchesSnapshot(t *testing.T) {
 	for _, solver := range []string{"TPG", "GT", "GT+LUB"} {
@@ -113,7 +114,7 @@ func TestIncrementalClusterMatchesSnapshot(t *testing.T) {
 				t.Fatalf("%s seed %d: workload dispatched %d, expired %d; the test is vacuous",
 					solver, seed, dispatched, expired)
 			}
-			got, gotQ := driveIncremental(t, seed, solver, func(cfg *Config) { cfg.Incremental = true })
+			got, gotQ := driveIncremental(t, seed, solver, func(cfg *server.Config) { cfg.Incremental = true })
 			if !reflect.DeepEqual(base, got) {
 				t.Errorf("%s seed %d: incremental rounds diverge from snapshot\n snapshot:    %+v\n incremental: %+v",
 					solver, seed, base, got)
@@ -129,9 +130,9 @@ func TestIncrementalClusterMatchesSnapshot(t *testing.T) {
 // budget no rung can overrun, budgeted incremental rounds still match the
 // budgeted snapshot rounds bitwise.
 func TestIncrementalClusterUnderGenerousBudget(t *testing.T) {
-	budget := func(cfg *Config) { cfg.SolveBudget = time.Minute }
+	budget := func(cfg *server.Config) { cfg.SolveBudget = time.Minute }
 	base, baseQ := driveIncremental(t, 9, "TPG", budget)
-	got, gotQ := driveIncremental(t, 9, "TPG", budget, func(cfg *Config) { cfg.Incremental = true })
+	got, gotQ := driveIncremental(t, 9, "TPG", budget, func(cfg *server.Config) { cfg.Incremental = true })
 	if !reflect.DeepEqual(base, got) {
 		t.Errorf("budgeted incremental rounds diverge from snapshot\n snapshot:    %+v\n incremental: %+v", base, got)
 	}

@@ -13,7 +13,7 @@ import (
 // This file defines the arrival-event stream format behind scenario
 // record/replay: one JSONL file holds a meta header followed by every
 // worker and task arrival of a run, enough to re-feed batch.Run (or a
-// sharded cluster) and reproduce the original decision trace bitwise.
+// sharded server.Platform) and reproduce the original decision trace bitwise.
 
 // Event kinds.
 const (
